@@ -13,7 +13,7 @@ function of the seed, so a failure found here replays exactly.
 
 The full protocol event trace — including the transport's chaos-injection
 events — is recorded through the observability bus and written as a
-``repro.obs.trace`` v1 JSONL file for post-mortem analysis.
+``repro.obs.stream`` recording for post-mortem analysis.
 
 Usage::
 
@@ -25,7 +25,7 @@ import asyncio
 
 from repro import SystemConfig
 from repro.obs.context import Observability
-from repro.obs.export import dump_trace
+from repro.obs.stream import dump_trace
 from repro.runtime.chaos import ChaosConfig, ChaosTransport
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.reliable import LinkConfig
@@ -102,6 +102,6 @@ if __name__ == "__main__":
     parser.add_argument(
         "--trace",
         default="chaos_cluster.trace.jsonl",
-        help="where to write the repro.obs.trace JSONL file",
+        help="where to write the repro.obs.stream recording",
     )
     asyncio.run(main(parser.parse_args().trace))

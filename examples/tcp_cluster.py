@@ -5,7 +5,7 @@ over asyncio TCP — four nodes, four listening ports, real bytes on real
 sockets — and keeps the same guarantees.
 
 The full protocol event trace is recorded through the unified
-observability bus and written as a ``repro.obs.trace`` v1 JSONL file,
+observability bus and written as a ``repro.obs.stream`` recording,
 ready for ``python -m repro.obs summarize/waves/diff``.
 
 Usage::
@@ -18,7 +18,7 @@ import asyncio
 
 from repro import SystemConfig
 from repro.obs.context import Observability
-from repro.obs.export import dump_trace
+from repro.obs.stream import dump_trace
 from repro.runtime.cluster import LocalCluster
 
 
@@ -68,6 +68,6 @@ if __name__ == "__main__":
     parser.add_argument(
         "--trace",
         default="tcp_cluster.trace.jsonl",
-        help="where to write the repro.obs.trace JSONL file",
+        help="where to write the repro.obs.stream recording",
     )
     asyncio.run(main(parser.parse_args().trace))

@@ -9,7 +9,7 @@ script while tests import the same driver. Typical smoke run::
 which plans a peer table on free ports, spawns four ``python -m repro
 tcp-node`` processes, waits for every node to commit three waves, checks
 digest-based prefix consistency across the hosts, and merges the per-host
-``repro.obs.trace`` v1 JSONL traces. See docs/runtime.md ("Multi-host
+``repro.obs.stream`` traces. See docs/runtime.md ("Multi-host
 deployment").
 """
 

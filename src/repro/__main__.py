@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--peers", required=True, help="peer table (.json or .toml)")
     node.add_argument("--pid", type=int, required=True, help="this node's pid")
     node.add_argument(
-        "--trace", help="write this host's repro.obs.trace v1 JSONL here on stop"
+        "--trace", help="write this host's repro.obs.stream recording here on stop"
     )
     node.add_argument(
         "--run-seconds",

@@ -7,7 +7,7 @@ the DAG-Rider protocol. They live in the codec package (rather than
 import cycle through the runtime package.
 
 Their bits are accounted in :class:`repro.runtime.reliable.LinkStats`
-(``control_bits``), never in :class:`repro.sim.metrics.MetricsCollector`,
+(``control_bits``), never in :class:`repro.obs.wire.MetricsCollector`,
 so the paper's §3 communication-complexity numbers are unaffected by the
 reliability layer's overhead.
 """

@@ -82,11 +82,9 @@ class DagRiderNode(Process):
         batch_size: int = 1,
         tx_bytes: int = 64,
         broadcast_kwargs: dict | None = None,
-        on_deliver: Callable[[OrderedEntry], None] | None = None,
         enable_weak_edges: bool = True,
         commit_quorum: int | None = None,
         gc_depth: int | None = None,
-        tracer=None,
         journal: "NodeJournal | None" = None,
     ):
         super().__init__(pid, network)
@@ -99,10 +97,8 @@ class DagRiderNode(Process):
             raise ConfigurationError(f"coin mode {coin_mode!r} needs a dealer")
 
         self.ordered: list[OrderedEntry] = []
-        self._on_deliver = on_deliver
-        # Additional delivery listeners (the ingress gateway's ack path
-        # among them) — the single ``on_deliver`` slot predates them and
-        # is kept for existing callers.
+        # Synchronous ``a_deliver`` hooks (the ingress gateway's ack path
+        # among them), registered with :meth:`add_delivery_listener`.
         self._delivery_listeners: list[Callable[[OrderedEntry], None]] = []
         # GC policy (an extension following DAG-Rider's descendants —
         # Narwhal/Bullshark): once a round is *complete* (all n vertices
@@ -110,7 +106,6 @@ class DagRiderNode(Process):
         # for catch-up serving and collect the rest. None (the default) is
         # the paper-faithful unbounded DAG.
         self._gc_depth = gc_depth
-        self._tracer = tracer  # optional repro.sim.trace.Tracer
         self._wave_ready_time: dict[int, float] = {}
         # Durable state: the WAL/snapshot sidecar (None → memory-only node).
         self._journal = journal
@@ -234,14 +229,7 @@ class DagRiderNode(Process):
             self._apply_catchup(src, message)
 
     def _emit(self, kind: str, **fields) -> None:
-        """Record one protocol event on both observability paths.
-
-        The legacy tracer (when attached) and the deployment's shared event
-        bus (when observability is on) see the same stream; either may be
-        absent independently.
-        """
-        if self._tracer is not None:
-            self._tracer.record(self.now, self.pid, kind, **fields)
+        """Record one protocol event on the deployment's event bus, if any."""
         obs = self.obs
         if obs is not None:
             obs.bus.emit(self.pid, kind, **fields)
@@ -356,8 +344,6 @@ class DagRiderNode(Process):
         entry = OrderedEntry(position, block, round_, source, self.now)
         self.ordered.append(entry)
         self._emit("a_deliver", round=round_, source=source)
-        if self._on_deliver is not None:
-            self._on_deliver(entry)
         for listener in self._delivery_listeners:
             listener(entry)
 

@@ -49,6 +49,7 @@ class _AckStream:
         self.buffer: deque[dict[str, object]] = deque(maxlen=capacity)
         self.wakeup = asyncio.Event()
         self.dropped = 0
+        self.hung_up = False
 
     def push(self, ack: dict[str, object]) -> None:
         if len(self.buffer) == self.buffer.maxlen:
@@ -271,7 +272,7 @@ class IngressGateway:
                     if request.get("cmd") == "ack":
                         # Streaming mode: the connection is dedicated to
                         # delivery acks from here on.
-                        await self._serve_acks(request, writer)
+                        await self._serve_acks(request, reader, writer)
                         break
                     response = self._dispatch(request)
                 except ValueError as exc:
@@ -290,7 +291,10 @@ class IngressGateway:
                 await writer.wait_closed()
 
     async def _serve_acks(
-        self, request: dict[str, Any], writer: asyncio.StreamWriter
+        self,
+        request: dict[str, Any],
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
         """Stream delivery acks until the client hangs up or we stop.
 
@@ -300,6 +304,9 @@ class IngressGateway:
         capacity = int(request.get("capacity", DEFAULT_ACK_CAPACITY))
         stream = _AckStream(max(1, capacity))
         self._ack_streams.add(stream)
+        watcher = asyncio.get_running_loop().create_task(
+            self._watch_hangup(reader, stream)
+        )
         reported_drops = 0
         try:
             writer.write(
@@ -316,7 +323,7 @@ class IngressGateway:
                 if not stream.buffer and not self._stopping:
                     stream.wakeup.clear()
                     await stream.wakeup.wait()
-                if self._stopping and not stream.buffer:
+                if stream.hung_up or (self._stopping and not stream.buffer):
                     break
                 while stream.buffer:
                     ack = stream.buffer.popleft()
@@ -338,3 +345,19 @@ class IngressGateway:
             pass
         finally:
             self._ack_streams.discard(stream)
+            watcher.cancel()
+            await asyncio.wait({watcher})
+
+    @staticmethod
+    async def _watch_hangup(reader: asyncio.StreamReader, stream: _AckStream) -> None:
+        """Wake the ack stream when its client hangs up.
+
+        An ack client sends nothing after ``ack``, so the only thing left
+        to read is EOF; without this, acks would keep being written into
+        a closed connection.
+        """
+        with contextlib.suppress(ConnectionError, OSError):
+            while await reader.read(4096):
+                pass
+        stream.hung_up = True
+        stream.wakeup.set()

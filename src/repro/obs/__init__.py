@@ -14,14 +14,13 @@ simulator, the protocol core, and the TCP runtime:
 * :mod:`repro.obs.spans` — span-style phase tracking for the protocol
   pipeline (vertex broadcast, DAG insertion, wave-leader election, commit
   walk, delivery).
-* :mod:`repro.obs.wire` — the §3 communication/time accounting collector
-  (re-exported by :mod:`repro.sim.metrics` for compatibility).
-* :mod:`repro.obs.export` — versioned JSONL trace export/import.
+* :mod:`repro.obs.wire` — the §3 communication/time accounting collector.
 * :mod:`repro.obs.analyze` — summaries, filters, and trace *diffing*
   (clean run vs. chaos run → which waves paid for redelivery).
-* :mod:`repro.obs.stream` — live telemetry: bounded-ring bus
-  subscribers, incremental metric deltas, the ``repro.obs.stream``
-  newline-JSON wire format, the flight recorder, and the stall detector.
+* :mod:`repro.obs.stream` — the one ``repro.obs.stream`` newline-JSON
+  recording format (trace files, ``subscribe`` streams, flight dumps) and
+  its decoder, plus live telemetry: bounded-ring bus subscribers,
+  incremental metric deltas, the flight recorder, and the stall detector.
 * :mod:`repro.obs.causal` — cross-host causal stitching of merged traces
   into per-vertex chains with per-edge latency percentiles.
 * ``python -m repro.obs`` (:mod:`repro.obs.cli`) — record / summarize /
@@ -46,16 +45,6 @@ from repro.obs.bus import EventBus
 from repro.obs.causal import CausalReport, EdgeStats, VertexChain, stitch
 from repro.obs.context import Observability
 from repro.obs.events import Event, Scalar, make_fields
-from repro.obs.export import (
-    TRACE_SCHEMA,
-    TRACE_VERSION,
-    Trace,
-    TraceFormatError,
-    dump_trace,
-    dumps_trace,
-    load_trace,
-    loads_trace,
-)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import (
     PHASE_BROADCAST,
@@ -74,8 +63,12 @@ from repro.obs.stream import (
     StallDetector,
     StreamFormatError,
     StreamSubscriber,
-    decode_stream_line,
-    encode_stream_line,
+    Trace,
+    decode_line,
+    dump_trace,
+    dumps_trace,
+    load_trace,
+    loads_trace,
 )
 from repro.obs.wire import MetricsCollector
 
@@ -105,18 +98,14 @@ __all__ = [
     "StallDetector",
     "StreamFormatError",
     "StreamSubscriber",
-    "TRACE_SCHEMA",
-    "TRACE_VERSION",
     "Trace",
     "TraceDiff",
-    "TraceFormatError",
     "VertexChain",
     "WaveStats",
-    "decode_stream_line",
+    "decode_line",
     "diff_traces",
     "dump_trace",
     "dumps_trace",
-    "encode_stream_line",
     "filter_events",
     "kind_counts",
     "load_trace",

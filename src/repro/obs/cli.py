@@ -26,7 +26,7 @@ from typing import Sequence
 
 from repro.obs.analyze import diff_traces, filter_events, summarize
 from repro.obs.causal import stitch
-from repro.obs.export import Trace, dump_trace, dumps_trace, load_trace
+from repro.obs.stream import Trace, dump_trace, dumps_trace, load_trace
 
 
 def _parse_slow(spec: str) -> tuple[int, float]:
@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     record.set_defaults(func=_cmd_record)
 
     summ = sub.add_parser("summarize", help="print a human-readable trace summary")
-    summ.add_argument("trace", help="trace file (JSONL)")
+    summ.add_argument(
+        "trace", help="recording (JSONL): trace file, stream tee or flight dump"
+    )
     summ.set_defaults(func=_cmd_summarize)
 
     filt = sub.add_parser("filter", help="select events by kind/pid/time window")

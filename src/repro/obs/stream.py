@@ -1,11 +1,30 @@
-"""Live telemetry: bounded event streaming, metric deltas, flight recording.
+"""The event recording format, plus live streaming, deltas, flight recording.
 
-Everything in :mod:`repro.obs` so far is *post-hoc*: the bus accumulates,
-the trace is written on shutdown, analysis happens after the run. This
-module is the live counterpart, built from four deterministic pieces that
-contain no I/O and no clock reads of their own (times are always passed
-in, so the stall detector and delta encoder are unit-testable with
-synthetic clocks and stay clean under the determinism lint):
+Every recording of protocol events — a trace file written on shutdown, a
+control-socket ``subscribe`` stream, a flight-recorder dump — is one
+schema-versioned newline-JSON **stream**, written by the encoders below
+and read back by the single decoder :func:`decode_line`. Each line is one
+JSON object with sorted keys and compact separators:
+
+* line 1 — the **header**: ``{"meta": {...}, "schema": "repro.obs.stream",
+  "version": 2}``. ``meta`` identifies the recording (cell, seed, pid,
+  subscribe filters, flight-dump reason, ...). A recording that should be
+  byte-identical across same-seed runs puts no timestamps in it.
+* one line per **event**, in emit order: ``{"kind": ..., "pid": ...,
+  "t": ...}`` plus ``"f": {...}`` when the event has fields.
+* a **delta** line, ``{"delta": {"seq": ..., "t": ..., ...}}``: one
+  periodic tick of a live stream (runner status, metric movement since the
+  previous tick, cumulative ring drops). A stream ends on its last delta.
+* a **metrics** line, ``{"metrics": {...}}``: the closing snapshot of a
+  trace file or flight dump (registry, link counters, status).
+
+:func:`load_trace` reads any of the three recordings into a :class:`Trace`;
+two runs of the same seeded simulator cell produce trace files that
+``diff`` (the Unix tool *or* ``python -m repro.obs diff``) as empty.
+
+The live pieces contain no I/O and no clock reads of their own (times are
+always passed in, so the stall detector and delta encoder are unit-testable
+with synthetic clocks and stay clean under the determinism lint):
 
 * :class:`EventRing` — a bounded ring of events that drops the *oldest*
   entry on overflow and counts every drop. Backpressure never blocks an
@@ -14,45 +33,37 @@ synthetic clocks and stay clean under the determinism lint):
 * :class:`StreamSubscriber` — an :class:`EventRing` attached to an
   :class:`repro.obs.bus.EventBus` with kind / ``min_round`` filters.
   Draining it yields the events buffered since the last drain plus the
-  cumulative drop count — the unit a control-socket ``subscribe`` stream
-  sends per tick.
+  cumulative drop count — the unit a ``subscribe`` stream sends per tick.
 * :class:`MetricsDelta` — periodic registry snapshots encoded as *deltas*
   (counter increments since the previous tick, current gauge values), so
   a long-running stream costs bandwidth proportional to activity, not to
   registry size history.
-* :class:`FlightRecorder` — a always-on last-K ring (black box). It costs
+* :class:`FlightRecorder` — an always-on last-K ring (black box). It costs
   one append per event while everything is healthy and is dumped only on
   demand: a stall diagnostic, a :class:`repro.common.errors.ConsistencyError`,
   a failed scenario post-check.
-
-The wire form is newline-JSON, schema-versioned alongside
-``repro.obs.trace``: a ``subscribe`` stream opens with a header line
-(``{"schema": "repro.obs.stream", "version": 1, ...}``) followed by
-``event`` and ``delta`` records (:func:`encode_stream_line` /
-:func:`decode_stream_line` round-trip them). See docs/observability.md
-"Live streaming and causal analysis".
 
 :class:`StallDetector` is the driver-side liveness monitor: it watches
 per-node commit frontiers and reports a stall when the *quorum frontier*
 (the highest wave at least ``n - f`` nodes have decided) fails to advance
 for a configured window — a single slow node does not trip it, a frozen
-quorum does.
+quorum does. See docs/observability.md "Event recordings".
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping
 
 from repro.obs.bus import EventBus
-from repro.obs.events import Event
-from repro.obs.export import event_record, record_event
+from repro.obs.events import Event, make_fields
 from repro.obs.metrics import MetricsRegistry
 
-#: Stream schema identifier; bump :data:`STREAM_VERSION` on layout changes.
+#: Header schema identifier; bump :data:`STREAM_VERSION` on layout changes.
 STREAM_SCHEMA = "repro.obs.stream"
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 #: Default bounded-ring capacity for a ``subscribe`` stream buffer.
 DEFAULT_STREAM_CAPACITY = 4096
@@ -62,11 +73,166 @@ DEFAULT_FLIGHT_CAPACITY = 256
 
 
 class StreamFormatError(ValueError):
-    """A stream line that does not follow the schema above."""
+    """A recording or line that does not follow the format above."""
+
+
+# ------------------------------------------------------------------ encoder
 
 
 def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def header_line(meta: Mapping[str, object] | None = None) -> str:
+    """The first line of every recording (no trailing newline)."""
+    return _dumps(
+        {"meta": dict(meta or {}), "schema": STREAM_SCHEMA, "version": STREAM_VERSION}
+    )
+
+
+def event_line(event: Event) -> str:
+    """One event as its line (no trailing newline)."""
+    record: dict[str, object] = {"kind": event.kind, "pid": event.pid, "t": event.time}
+    if event.fields:
+        record["f"] = dict(event.fields)
+    return _dumps(record)
+
+
+def delta_line(
+    seq: int,
+    time: float,
+    status: Mapping[str, object] | None = None,
+    metrics: Mapping[str, object] | None = None,
+    dropped: int = 0,
+) -> str:
+    """One live-stream tick: status + metric movement since the last tick."""
+    body: dict[str, object] = {"seq": seq, "t": time}
+    if status:
+        body["status"] = dict(status)
+    if metrics:
+        body["metrics"] = dict(metrics)
+    if dropped:
+        body["dropped"] = dropped
+    return _dumps({"delta": body})
+
+
+def dumps_trace(
+    events: Iterable[Event],
+    meta: Mapping[str, object] | None = None,
+    metrics: Mapping[str, object] | None = None,
+) -> str:
+    """A whole recording as text (trailing newline included)."""
+    lines = [header_line(meta)]
+    lines.extend(event_line(event) for event in events)
+    if metrics is not None:
+        lines.append(_dumps({"metrics": dict(metrics)}))
+    return "\n".join(lines) + "\n"
+
+
+def dump_trace(
+    path: str,
+    events: Iterable[Event],
+    meta: Mapping[str, object] | None = None,
+    metrics: Mapping[str, object] | None = None,
+) -> None:
+    """Write a recording to ``path``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dumps_trace(events, meta=meta, metrics=metrics))
+
+
+# ------------------------------------------------------------------ decoder
+
+
+def _event(record: Mapping[str, Any]) -> Event:
+    try:
+        fields = record.get("f", {})
+        if not isinstance(fields, dict):
+            raise TypeError(f"field bag is not an object: {fields!r}")
+        return Event(
+            float(record["t"]), int(record["pid"]), str(record["kind"]), make_fields(fields)
+        )
+    except KeyError as missing:
+        raise StreamFormatError(f"event line missing key {missing}") from None
+    except (TypeError, ValueError) as exc:
+        raise StreamFormatError(f"malformed event line: {exc}") from None
+
+
+def decode_line(text: str) -> tuple[str, Any]:
+    """Parse and validate one line of any recording.
+
+    Returns ``(type, body)``: ``("header", meta)``, ``("event", Event)``,
+    ``("delta", tick)`` or ``("metrics", snapshot)``.
+    """
+    try:
+        line = json.loads(text)
+    except ValueError as exc:
+        raise StreamFormatError(f"line is not JSON: {exc}") from None
+    if not isinstance(line, dict):
+        raise StreamFormatError(f"line is not an object: {text.strip()!r}")
+    if "schema" in line:
+        if line["schema"] != STREAM_SCHEMA:
+            raise StreamFormatError(
+                f"not a {STREAM_SCHEMA} recording (schema={line['schema']!r})"
+            )
+        if line.get("version") != STREAM_VERSION:
+            raise StreamFormatError(
+                f"unsupported version {line.get('version')!r} "
+                f"(this build reads {STREAM_VERSION})"
+            )
+        kind, body = "header", line.get("meta", {})
+    elif "delta" in line:
+        kind, body = "delta", line["delta"]
+    elif "metrics" in line:
+        kind, body = "metrics", line["metrics"]
+    else:
+        return "event", _event(line)
+    if not isinstance(body, dict):
+        raise StreamFormatError(f"{kind} line body is not an object: {body!r}")
+    return kind, body
+
+
+@dataclass
+class Trace:
+    """A loaded recording: header meta, events in order, deltas, metrics."""
+
+    meta: dict[str, object] = field(default_factory=dict)
+    events: list[Event] = field(default_factory=list)
+    metrics: dict[str, object] | None = None
+    deltas: list[dict[str, object]] = field(default_factory=list)
+
+
+def _load_lines(lines: Iterable[str]) -> Trace:
+    trace: Trace | None = None
+    for text in lines:
+        if not text.strip():
+            continue
+        kind, body = decode_line(text)
+        if trace is None:
+            if kind != "header":
+                raise StreamFormatError(f"recording opens with a {kind} line, not a header")
+            trace = Trace(meta=body)
+        elif kind == "event":
+            trace.events.append(body)
+        elif kind == "delta":
+            trace.deltas.append(body)
+        elif kind == "metrics":
+            trace.metrics = body
+        else:
+            raise StreamFormatError("second header line inside a recording")
+    if trace is None:
+        raise StreamFormatError("empty recording")
+    return trace
+
+
+def load_trace(path: str) -> Trace:
+    """Read a trace file, a ``subscribe`` stream tee or a flight dump."""
+    with open(path, encoding="utf-8") as handle:
+        return _load_lines(handle)
+
+
+def loads_trace(text: str) -> Trace:
+    """Parse recording text (see :func:`load_trace`)."""
+    return _load_lines(text.split("\n"))
 
 
 # ---------------------------------------------------------------- event ring
@@ -295,92 +461,6 @@ def registry_totals(registry: MetricsRegistry) -> dict[str, object]:
     return state
 
 
-# ------------------------------------------------------------- wire format
-
-
-def stream_header(
-    pid: int,
-    filters: Mapping[str, object] | None = None,
-    interval: float | None = None,
-) -> dict[str, object]:
-    """The first line of a ``subscribe`` stream."""
-    header: dict[str, object] = {
-        "schema": STREAM_SCHEMA,
-        "version": STREAM_VERSION,
-        "pid": pid,
-    }
-    if filters:
-        header["filters"] = dict(filters)
-    if interval is not None:
-        header["interval"] = interval
-    return header
-
-
-def event_line(event: Event) -> dict[str, object]:
-    """One streamed event as its JSON-ready line dict."""
-    return {"event": event_record(event)}
-
-
-def delta_line(
-    seq: int,
-    time: float,
-    status: Mapping[str, object] | None = None,
-    metrics: Mapping[str, object] | None = None,
-    dropped: int = 0,
-) -> dict[str, object]:
-    """One periodic snapshot line: status + metric movement since last."""
-    line: dict[str, object] = {"delta": {"seq": seq, "t": time}}
-    body = line["delta"]
-    assert isinstance(body, dict)
-    if status:
-        body["status"] = dict(status)
-    if metrics:
-        body["metrics"] = dict(metrics)
-    if dropped:
-        body["dropped"] = dropped
-    return line
-
-
-def encode_stream_line(line: Mapping[str, object]) -> str:
-    """Serialize one stream line (no trailing newline)."""
-    return _dumps(dict(line))
-
-
-def decode_stream_line(text: str) -> dict[str, object]:
-    """Parse and validate one stream line.
-
-    Returns the line dict with a ``"type"`` key added: ``header``,
-    ``event`` (with the event decoded under ``"decoded"``), or ``delta``.
-    """
-    try:
-        line = json.loads(text)
-    except ValueError as exc:
-        raise StreamFormatError(f"stream line is not JSON: {exc}") from None
-    if not isinstance(line, dict):
-        raise StreamFormatError(f"stream line is not an object: {line!r}")
-    if line.get("schema") == STREAM_SCHEMA:
-        if line.get("version") != STREAM_VERSION:
-            raise StreamFormatError(
-                f"unsupported stream version {line.get('version')!r} "
-                f"(this build reads {STREAM_VERSION})"
-            )
-        line["type"] = "header"
-        return line
-    if "event" in line:
-        record = line["event"]
-        if not isinstance(record, dict):
-            raise StreamFormatError(f"event line body is not an object: {record!r}")
-        line["decoded"] = record_event(record)
-        line["type"] = "event"
-        return line
-    if "delta" in line:
-        if not isinstance(line["delta"], dict):
-            raise StreamFormatError(f"delta line body is not an object: {line!r}")
-        line["type"] = "delta"
-        return line
-    raise StreamFormatError(f"unrecognized stream line: {text.strip()!r}")
-
-
 # ---------------------------------------------------------- flight recorder
 
 
@@ -390,8 +470,8 @@ class FlightRecorder:
     Attaches to a bus at construction and keeps the most recent
     ``capacity`` events (every kind; drops are counted but expected —
     overwriting history is the *point* of a flight recorder). A dump is a
-    JSON-ready dict carrying the surviving events plus how many were
-    overwritten, stamped with a caller-supplied reason.
+    recording whose header meta carries the caller's meta plus the reason,
+    the dump time and how many events were overwritten.
     """
 
     def __init__(self, bus: EventBus, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
@@ -400,19 +480,22 @@ class FlightRecorder:
         self.dumps_taken = 0
         bus.subscribe(self.ring.append)
 
-    def dump(self, reason: str, time: float) -> dict[str, object]:
-        """Snapshot the ring (non-destructively) as a JSON-ready dict."""
-        events = self.ring.peek()
+    def dump(
+        self,
+        reason: str,
+        time: float,
+        meta: Mapping[str, object] | None = None,
+        metrics: Mapping[str, object] | None = None,
+    ) -> str:
+        """Snapshot the ring (non-destructively) as recording text."""
         self.dumps_taken += 1
-        return {
-            "schema": STREAM_SCHEMA,
-            "version": STREAM_VERSION,
+        header = {
+            **(meta or {}),
             "reason": reason,
             "t": time,
-            "count": len(events),
             "overwritten": self.ring.dropped,
-            "events": [event_record(event) for event in events],
         }
+        return dumps_trace(self.ring.peek(), meta=header, metrics=metrics)
 
     def close(self) -> None:
         """Detach from the bus."""
@@ -504,11 +587,15 @@ __all__ = [
     "StallDetector",
     "StreamFormatError",
     "StreamSubscriber",
+    "Trace",
     "apply_delta",
-    "decode_stream_line",
+    "decode_line",
     "delta_line",
-    "encode_stream_line",
+    "dump_trace",
+    "dumps_trace",
     "event_line",
+    "header_line",
+    "load_trace",
+    "loads_trace",
     "registry_totals",
-    "stream_header",
 ]

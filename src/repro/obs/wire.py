@@ -10,10 +10,9 @@
   records the maximum correct-to-correct delay observed, and
   :meth:`time_units` converts a simulated-time span into time units.
 
-This is the canonical implementation; :mod:`repro.sim.metrics` re-exports
-it for compatibility. It lives in ``repro.obs`` so that both the simulator
-network and the TCP runtime feed the same accounting, and so that trace
-exports can attach a deterministic :meth:`snapshot` of it.
+It lives in ``repro.obs`` so that both the simulator network and the TCP
+runtime feed the same accounting, and so that trace exports can attach a
+deterministic :meth:`snapshot` of it.
 """
 
 from __future__ import annotations

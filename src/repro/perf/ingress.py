@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.stats import summarize
-from repro.obs.export import loads_trace
+from repro.obs.stream import loads_trace
 from repro.runtime.consistency import check_prefix_consistency
 from repro.runtime.fabric import (
     control_call,

@@ -198,7 +198,7 @@ def run_cell_traced(
     """Like :func:`run_cell`, returning the observability bundle too.
 
     The bundle's bus holds the full protocol event trace (exportable with
-    :func:`repro.obs.export.dump_trace`). Pass ``slow=(pid, penalty)`` to
+    :func:`repro.obs.stream.dump_trace`). Pass ``slow=(pid, penalty)`` to
     run the cell under :class:`repro.sim.adversary.SlowProcessDelay` over
     the same base delay stream — the clean-vs-perturbed trace diff then
     shows which waves paid for the slow process.

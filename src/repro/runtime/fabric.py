@@ -18,7 +18,7 @@
    sockets and run the same digest-based prefix-consistency check
    :class:`repro.runtime.cluster.LocalCluster` uses in-loop; aggregate
    ``link_report`` counters across hosts.
-6. **Collect** — fetch each host's ``repro.obs.trace`` v1 JSONL, merge
+6. **Collect** — fetch each host's ``repro.obs.stream`` recording, merge
    them (events interleaved on their per-host clocks) into
    ``merged.trace.jsonl``, write per-node ``status.json``, and optionally
    ``--diff`` host traces.
@@ -37,9 +37,11 @@ TTY, as plain ``live:`` lines otherwise; ``--no-live`` turns it off) and
 tees each node's raw stream to ``node-<pid>.stream.jsonl``. A stall
 detector rides on the same streams: when the quorum commit frontier is
 flat for ``--stall-window`` seconds the driver pulls every node's
-``flight`` ring dump into ``stall-<k>.json``; a total-order violation
-likewise snapshots the rings into ``flight-consistency.json`` before
-the cluster is torn down.
+``flight`` ring dump into ``stall-<k>/node-<pid>.flight.jsonl``; a
+total-order violation likewise snapshots the rings into
+``flight-consistency/`` before the cluster is torn down. Tees, traces and
+flight dumps are all one recording format that
+:func:`repro.obs.stream.load_trace` reads.
 
 Exit codes: 0 success, 1 total-order violation, 2 boot/target timeout.
 """
@@ -59,7 +61,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, ConsistencyError
 from repro.obs.analyze import diff_traces
-from repro.obs.export import Trace, dumps_trace, loads_trace
+from repro.obs.stream import Trace, dump_trace, dumps_trace, loads_trace
 from repro.runtime.consistency import check_prefix_consistency
 from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView
 from repro.runtime.peers import (
@@ -354,32 +356,33 @@ def collect_flight_dumps(
     stalled_for: float | None = None,
     index: int | None = None,
 ) -> Path:
-    """Pull every reachable node's flight-recorder ring into one file.
+    """Pull every reachable node's flight-recorder ring into one directory.
 
     The ``flight`` control command makes each node dump its in-memory
-    last-K event ring (plus status and link report) and stamp its own
-    trace with ``flight_dump`` — so post-hoc analysis of the traces can
-    line the dumps up with protocol time. Unreachable nodes are recorded
-    as errors rather than aborting: diagnostics must degrade, not fail.
+    last-K event ring as a recording (status and link report in its
+    closing metrics line) and stamp its own trace with ``flight_dump`` —
+    so post-hoc analysis of the traces can line the dumps up with
+    protocol time. Each dump lands in ``node-<pid>.flight.jsonl``. An
+    unreachable node gets a header-only recording whose meta carries the
+    error: diagnostics must degrade, not fail.
     """
     request: dict[str, Any] = {"cmd": "flight", "reason": reason}
     if stalled_for is not None:
         request["stalled_for"] = round(stalled_for, 3)
-    dumps: dict[str, object] = {}
-    for entry in table.peers:
-        try:
-            dumps[str(entry.pid)] = control_call(
-                entry.control_address, request, timeout=10.0
-            )
-        except (OSError, ValueError) as error:
-            dumps[str(entry.pid)] = {"ok": False, "error": str(error)}
     suffix = f"-{index}" if index is not None else ""
-    path = out_dir / f"{'stall' if reason == 'stall' else 'flight-' + reason}{suffix}.json"
-    path.write_text(
-        json.dumps({"reason": reason, "nodes": dumps}, indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    return path
+    directory = out_dir / f"{'stall' if reason == 'stall' else 'flight-' + reason}{suffix}"
+    directory.mkdir(parents=True, exist_ok=True)
+    for entry in table.peers:
+        path = directory / f"node-{entry.pid}.flight.jsonl"
+        try:
+            response = control_call(entry.control_address, request, timeout=10.0)
+            if not response.get("ok"):
+                raise ValueError(str(response.get("error", "flight dump refused")))
+            path.write_text(str(response["dump"]), encoding="utf-8")
+        except (OSError, ValueError) as error:
+            meta = {"pid": entry.pid, "reason": reason, "error": str(error)}
+            dump_trace(str(path), [], meta=meta)
+    return directory
 
 
 # ---------------------------------------------------------------- scenarios

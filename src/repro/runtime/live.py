@@ -2,7 +2,8 @@
 
 One reader thread per node holds a control-socket connection in
 ``subscribe`` streaming mode (see :class:`repro.runtime.runner.ControlServer`)
-and folds the incoming ``repro.obs.stream`` lines into a shared per-node
+and folds the incoming ``repro.obs.stream`` lines (decoded by
+:func:`repro.obs.stream.decode_line`) into a shared per-node
 table: commit frontier (decided wave), current round, ordered entries,
 transport queue depth, events seen, ring drops. A render thread repaints
 that table once per tick — in-place with ANSI cursor movement on a TTY,
@@ -15,7 +16,8 @@ it fires the ``on_stall`` callback (the fabric driver uses it to pull
 ``flight`` dumps from every node).
 
 Raw stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``
-so a run leaves replayable per-node streams next to its traces.
+so a run leaves replayable per-node recordings next to its traces
+(:func:`repro.obs.stream.load_trace` reads them).
 
 Everything here is driver-side tooling on real wall clocks
 (``time.monotonic``), matching the rest of :mod:`repro.runtime.fabric`;
@@ -32,7 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
-from repro.obs.stream import StallDetector, StreamFormatError, decode_stream_line
+from repro.obs.stream import StallDetector, StreamFormatError, decode_line
 from repro.runtime.peers import PeerTable
 
 #: Seconds between connect retries while a node is still booting.
@@ -40,6 +42,9 @@ CONNECT_RETRY = 0.25
 
 #: Default seconds of flat quorum commit frontier before a stall fires.
 DEFAULT_STALL_WINDOW = 30.0
+
+#: Seconds :meth:`LiveView.stop` waits for the streams' final ticks and EOF.
+DRAIN_TIMEOUT = 5.0
 
 
 class NodeView:
@@ -128,10 +133,19 @@ class LiveView:
         render.start()
 
     def stop(self) -> None:
-        """Tear down readers and renderer; paints one final table."""
+        """Tear down readers and renderer; paints one final table.
+
+        Call it after the nodes were told to stop: each stream then ends
+        with a final delta and EOF, which the readers get up to
+        :data:`DRAIN_TIMEOUT` seconds to reach before the sockets are
+        shut under them.
+        """
         if self._stop.is_set():
             return
         self._stop.set()
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         with self._lock:
             for sock in self._sockets.values():
                 try:
@@ -219,8 +233,6 @@ class LiveView:
             with sock, sock.makefile("r", encoding="utf-8") as stream:
                 sock.sendall((json.dumps(self.request) + "\n").encode())
                 for text in stream:
-                    if self._stop.is_set():
-                        break
                     if tee is not None:
                         tee.write(text)
                         tee.flush()
@@ -256,17 +268,15 @@ class LiveView:
 
     def _fold_line(self, view: NodeView, text: str) -> None:
         try:
-            line = decode_stream_line(text)
+            kind, body = decode_line(text)
         except StreamFormatError:
             return
         with self._lock:
-            if line["type"] == "event":
+            if kind == "event":
                 view.events += 1
                 return
-            if line["type"] != "delta":
+            if kind != "delta":
                 return
-            body = line["delta"]
-            assert isinstance(body, dict)
             status = body.get("status")
             if isinstance(status, dict):
                 view.decided_wave = int(status.get("decided_wave", -1))

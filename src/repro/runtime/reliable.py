@@ -20,7 +20,7 @@ runtime adds a classic reliable-link layer on top:
   buffer without bound for a dead one.
 
 Ack/heartbeat bits are tallied in :class:`LinkStats` (``control_bits``),
-*not* in :class:`repro.sim.metrics.MetricsCollector`, so the runtime's §3
+*not* in :class:`repro.obs.wire.MetricsCollector`, so the runtime's §3
 communication accounting matches the simulator's message-level model.
 """
 
@@ -90,10 +90,6 @@ class LinkConfig:
             marked degraded and its queue bounded.
         max_degraded_queue: Unacked-frame cap for a degraded peer; the
             oldest frames are dropped beyond it.
-        ack_every_frame: When True the receiver acknowledges each data
-            frame individually (the pre-batching behavior, kept for
-            comparison benches); the default coalesces one cumulative ack
-            per read-burst, roughly halving ``control_bits`` on busy links.
     """
 
     initial_backoff: float = 0.05
@@ -104,7 +100,6 @@ class LinkConfig:
     heartbeat_timeout: float = 5.0
     degrade_after: float = 10.0
     max_degraded_queue: int = 1024
-    ack_every_frame: bool = False
 
     def __post_init__(self) -> None:
         if self.initial_backoff <= 0 or self.max_backoff < self.initial_backoff:
@@ -125,7 +120,7 @@ class LinkConfig:
 class LinkStats:
     """Robustness counters for one node's links (all peers aggregated).
 
-    Kept separate from :class:`repro.sim.metrics.MetricsCollector` on
+    Kept separate from :class:`repro.obs.wire.MetricsCollector` on
     purpose: these measure the *transport's* work (retries, redeliveries,
     control traffic), which the paper's §3 accounting excludes.
     """

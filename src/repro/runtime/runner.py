@@ -13,18 +13,18 @@ deployment shapes:
 
 Every runner carries an :class:`repro.obs.context.Observability` bundle:
 process runners always create their own (per-host trace, the clock bound
-to this node's transport scheduler) and export a ``repro.obs.trace`` v1
-JSONL on shutdown; in-loop clusters may share one bundle across runners.
+to this node's transport scheduler) and write a ``repro.obs.stream``
+recording on shutdown; in-loop clusters may share one bundle across runners.
 
 The control protocol is deliberately tiny: newline-delimited JSON request/
 response pairs over TCP (``{"cmd": "status"}`` -> one JSON line). Commands:
 ``ping``, ``status``, ``log`` (position-wise entry digests for the
 cross-host prefix-consistency check), ``link_report``, ``trace`` (the
-JSONL text so a driver needs no shared filesystem), ``flight`` (dump the
-in-memory flight-recorder ring — the black box a stall diagnostic
-fetches), and ``stop``. One command escapes the request/response shape:
-``subscribe`` switches the connection into **streaming** mode — the
-server answers with a ``repro.obs.stream`` v1 header line and then, every
+recording text so a driver needs no shared filesystem), ``flight`` (the
+in-memory flight-recorder ring as a recording — the black box a stall
+diagnostic fetches), and ``stop``. One command escapes the request/response
+shape: ``subscribe`` switches the connection into **streaming** mode — the
+server answers with a ``repro.obs.stream`` header line and then, every
 ``interval`` seconds until the client disconnects or the node stops,
 writes the events buffered since the last tick (bounded ring, oldest
 dropped and counted under backpressure) plus one ``delta`` line carrying
@@ -45,16 +45,16 @@ from repro.crypto.dealer import CoinDealer
 from repro.mempool.admission import Mempool
 from repro.mempool.gateway import IngressGateway
 from repro.obs.context import Observability
-from repro.obs.export import dump_trace, dumps_trace
 from repro.obs.stream import (
     DEFAULT_STREAM_CAPACITY,
     FlightRecorder,
     MetricsDelta,
     StreamSubscriber,
     delta_line,
-    encode_stream_line,
+    dump_trace,
+    dumps_trace,
     event_line,
-    stream_header,
+    header_line,
 )
 from repro.runtime.consistency import full_digest_log
 from repro.runtime.peers import PeerTable
@@ -262,10 +262,12 @@ class NodeRunner:
     ) -> dict[str, object]:
         """Dump the flight-recorder ring (the ``flight`` control command).
 
-        Emits ``flight_dump`` into the node's own trace (so post-hoc
-        analysis sees *when* diagnostics were taken), and — when the
-        driver's stall detector asked (``reason="stall"``) — a
-        ``stall_detected`` event stamped with how long the quorum
+        The dump is a recording: this host's trace meta plus the reason in
+        the header, the ring's events, and the status and link report in
+        the closing metrics line. Emits ``flight_dump`` into the node's own
+        trace (so post-hoc analysis sees *when* diagnostics were taken),
+        and — when the driver's stall detector asked (``reason="stall"``) —
+        a ``stall_detected`` event stamped with how long the quorum
         frontier had been flat from the driver's point of view.
         """
         obs = self.observability
@@ -278,21 +280,21 @@ class NodeRunner:
                 stalled_for=stalled_for,
                 decided_wave=self.node.decided_wave if self.node is not None else -1,
             )
-        dump = self.flight.dump(reason, obs.bus.now)
+        ring = self.flight.ring
+        dump = self.flight.dump(
+            reason,
+            obs.bus.now,
+            meta=self.trace_meta(),
+            metrics={"links": self.link_report(), "status": self.status()},
+        )
         obs.emit(
             self.pid,
             "flight_dump",
             reason=reason,
-            events=int(dump.get("count", 0) or 0),
-            overwritten=int(dump.get("overwritten", 0) or 0),
+            events=len(ring),
+            overwritten=ring.dropped,
         )
-        return {
-            "ok": True,
-            "pid": self.pid,
-            "status": self.status(),
-            "link_report": self.link_report(),
-            "dump": dump,
-        }
+        return {"ok": True, "pid": self.pid, "dump": dump}
 
     # -------------------------------------------------------------- tracing
 
@@ -314,7 +316,7 @@ class NodeRunner:
         return metrics
 
     def trace_text(self) -> str:
-        """This host's ``repro.obs.trace`` v1 JSONL as a string."""
+        """This host's recording (header, events, metrics) as text."""
         events = (
             self.observability.bus.events if self.observability is not None else []
         )
@@ -445,12 +447,12 @@ class ControlServer:
     ) -> None:
         """Stream ``repro.obs.stream`` lines until stop or client hang-up.
 
-        Wire shape (all newline-JSON): one header line, then interleaved
-        ``{"event": ...}`` lines (everything the filter matched since the
-        last tick) and one ``{"delta": ...}`` line per tick carrying the
-        runner status, metric movement, and the cumulative ring-drop
-        count. Ticks are paced by ``interval`` seconds; the stream ends
-        with a final tick when the runner stops.
+        One header line (this host's trace meta plus the filters and the
+        interval), then per tick the event lines the filter matched since
+        the last tick and one delta line carrying the runner status,
+        metric movement, and the cumulative ring-drop count. Ticks are
+        paced by ``interval`` seconds; the stream ends with a final tick
+        when the runner stops.
         """
         runner = self.runner
         obs = runner.observability
@@ -477,17 +479,17 @@ class ControlServer:
         reported_drops = 0
         seq = 0
         try:
-            header = stream_header(
-                runner.pid, subscriber.filters_dict(), interval
-            )
-            writer.write((encode_stream_line(header) + "\n").encode())
+            meta = runner.trace_meta()
+            filters = subscriber.filters_dict()
+            if filters:
+                meta["filters"] = filters
+            meta["interval"] = interval
+            writer.write((header_line(meta) + "\n").encode())
             await writer.drain()
             while True:
                 stopped = await runner.wait_stopped(timeout=interval)
                 for event in subscriber.drain():
-                    writer.write(
-                        (encode_stream_line(event_line(event)) + "\n").encode()
-                    )
+                    writer.write((event_line(event) + "\n").encode())
                 new_drops = subscriber.dropped - reported_drops
                 if new_drops:
                     # Overflow is data, not just a log line: count it in
@@ -509,7 +511,7 @@ class ControlServer:
                     metrics=deltas.collect(),
                     dropped=subscriber.dropped,
                 )
-                writer.write((encode_stream_line(line) + "\n").encode())
+                writer.write((line + "\n").encode())
                 await writer.drain()
                 if stopped:
                     break

@@ -34,6 +34,7 @@ from repro.codec.frames import LinkAck, LinkHeartbeat
 from repro.common.config import SystemConfig
 from repro.common.errors import WireFormatError
 from repro.obs.context import Observability
+from repro.obs.wire import MetricsCollector
 from repro.runtime.reliable import (
     CONNECTION_ERRORS,
     CONTROL_SEQ,
@@ -45,7 +46,6 @@ from repro.runtime.reliable import (
     ReliableLink,
     frame_bytes,
 )
-from repro.sim.metrics import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.chaos import ChaosTransport
@@ -387,10 +387,7 @@ class TcpNetwork:
                         self.link_stats.gaps += seq - cursor - 1
                     self._recv_cursor[src] = seq
                     self._deliver(src, message)
-                if self.link_config.ack_every_frame:
-                    await self._send_ack(src, writer)
-                else:
-                    self._schedule_ack(src, state)
+                self._schedule_ack(src, state)
         except CONNECTION_ERRORS:
             pass
         except asyncio.CancelledError:

@@ -8,7 +8,8 @@ check across process boundaries, and merges the per-host traces. The live
 telemetry plane rides along: per-node ``subscribe`` streams feed the plain
 (non-TTY) progress view and are teed to ``node-<pid>.stream.jsonl``, the
 merged trace feeds ``python -m repro.obs causal``, and a partitioned
-quorum trips the stall detector into flight-recorder dumps.
+quorum trips the stall detector into flight-recorder dumps. Traces, tees
+and flight dumps are all read by the one ``load_trace`` decoder.
 """
 
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import decode_stream_line, loads_trace
+from repro.obs import load_trace
 from repro.runtime.peers import load_peer_table
 
 REPO = Path(__file__).resolve().parents[2]
@@ -86,20 +87,18 @@ class TestFabricSmoke:
         assert len(table.addresses()) == 4
         assert all(entry.control_port for entry in table.peers)
 
-    def test_per_host_traces_are_valid_v1_jsonl(self, fabric_run):
+    def test_per_host_traces_are_valid_recordings(self, fabric_run):
         out_dir, _result = fabric_run
         traces = sorted(out_dir.glob("node-*.trace.jsonl"))
         assert len(traces) == 4
         for path in traces:
-            trace = loads_trace(path.read_text(encoding="utf-8"))
+            trace = load_trace(str(path))
             kinds = {event.kind for event in trace.events}
             assert {"commit", "a_deliver"} <= kinds
 
     def test_merged_trace_spans_all_pids(self, fabric_run):
         out_dir, _result = fabric_run
-        merged = loads_trace(
-            (out_dir / "merged.trace.jsonl").read_text(encoding="utf-8")
-        )
+        merged = load_trace(str(out_dir / "merged.trace.jsonl"))
         assert merged.meta.get("pids") == [0, 1, 2, 3]
         assert {event.pid for event in merged.events} == {0, 1, 2, 3}
         # Merge is globally time-sorted.
@@ -108,7 +107,7 @@ class TestFabricSmoke:
 
     def test_summarize_accepts_the_traces(self, fabric_run):
         out_dir, _result = fabric_run
-        for name in ("node-0.trace.jsonl", "merged.trace.jsonl"):
+        for name in ("node-0.trace.jsonl", "merged.trace.jsonl", "node-0.stream.jsonl"):
             result = subprocess.run(
                 [sys.executable, "-m", "repro.obs", "summarize", str(out_dir / name)],
                 capture_output=True,
@@ -136,18 +135,15 @@ class TestLiveTelemetry:
         out_dir, _result = fabric_run
         tees = sorted(out_dir.glob("node-*.stream.jsonl"))
         assert len(tees) == 4
-        for path in tees:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            decoded = [decode_stream_line(text) for text in lines]
-            assert decoded[0]["type"] == "header"
-            kinds = {line["type"] for line in decoded}
-            assert "event" in kinds and "delta" in kinds
+        for pid, path in enumerate(tees):
+            tee = load_trace(str(path))
+            assert tee.meta["pid"] == pid and tee.meta["interval"] == 0.2
+            assert tee.events and tee.deltas
             # The final delta carries the runner's last status snapshot.
-            last = [line for line in decoded if line["type"] == "delta"][-1]
-            status = last["delta"]["status"]
-            assert status["decided_wave"] >= 3
+            last = tee.deltas[-1]
+            assert last["status"]["decided_wave"] >= 3
             # A zero ring-drop count is elided from the wire entirely.
-            assert last["delta"].get("dropped", 0) == 0
+            assert last.get("dropped", 0) == 0
 
     def test_causal_stitch_covers_the_merged_trace(self, fabric_run):
         out_dir, _result = fabric_run
@@ -215,18 +211,19 @@ class TestStallDiagnostics:
 
     def test_stall_dump_carries_per_node_flight_rings(self, stall_run):
         out_dir, _result = stall_run
-        dumps = sorted(out_dir.glob("stall-*.json"))
+        dumps = sorted(out_dir.glob("stall-*"))
         assert dumps, "stall detector fired but wrote no dump"
-        document = json.loads(dumps[0].read_text(encoding="utf-8"))
-        assert document["reason"] == "stall"
-        assert set(document["nodes"]) == {"0", "1", "2", "3"}
-        for node in document["nodes"].values():
-            assert node["ok"], node
-            assert node["status"]["decided_wave"] >= 0
-            assert "link_report" in node
-            ring = node["dump"]
-            assert ring["reason"] == "stall"
-            assert ring["count"] > 0
-            kinds = [event["kind"] for event in ring["events"]]
+        rings = sorted(dumps[0].glob("node-*.flight.jsonl"))
+        assert [path.name for path in rings] == [
+            f"node-{pid}.flight.jsonl" for pid in range(4)
+        ]
+        for pid, path in enumerate(rings):
+            ring = load_trace(str(path))
+            assert "error" not in ring.meta, ring.meta
+            assert ring.meta["pid"] == pid and ring.meta["reason"] == "stall"
+            assert ring.metrics is not None
+            assert ring.metrics["status"]["decided_wave"] >= 0
+            assert "links" in ring.metrics
+            kinds = [event.kind for event in ring.events]
             # The dump request itself stamps the ring before it is read.
             assert "stall_detected" in kinds

@@ -15,6 +15,7 @@ Two layers:
 
 import asyncio
 import json
+import logging
 import time
 
 from repro.common.config import SystemConfig
@@ -165,6 +166,65 @@ class TestGatewayInLoop:
         snapshot = obs.snapshot()
         assert snapshot["counters"]["ingress.delivered"] >= 3
         assert snapshot["histograms"]["ingress.e2e_latency"]["count"] >= 3
+
+
+class TestAckClientHangup:
+    def test_stream_stops_when_the_client_hangs_up(self, free_peers, free_port, caplog):
+        """Acks stop once the client's side reaches EOF.
+
+        Blocks of 16 transactions commit after the hang-up: had the stream
+        kept writing, each block's acks would go into a dead connection and
+        asyncio would log "socket.send() raised exception.".
+        """
+        ingress = AdmissionConfig(
+            max_pending_txs=64, batch_txs=16, batch_deadline=0.02, max_tx_bytes=256
+        )
+        ingress_ports = {pid: free_port() for pid in range(4)}
+        cluster = LocalCluster(
+            SystemConfig(n=4, seed=5),
+            peers=free_peers(4),
+            ingress_ports=ingress_ports,
+            ingress=ingress,
+        )
+        host, port = "127.0.0.1", ingress_ports[0]
+
+        async def submit_block(tag, reader=None, writer=None):
+            txs = [f"{tag}-{i}".encode().hex() for i in range(16)]
+            response, reader, writer = await request(
+                host, port, {"cmd": "submit_batch", "txs": txs}, reader, writer
+            )
+            assert response["accepted"] == 16, response
+            return {r["txid"] for r in response["results"]}, reader, writer
+
+        async def eventually(predicate, timeout=45.0):
+            deadline = time.monotonic() + timeout
+            while not predicate():
+                assert time.monotonic() < deadline
+                await asyncio.sleep(0.05)
+
+        async def scenario():
+            await cluster.start()
+            try:
+                gateway = cluster.runners[0].gateway
+                ack_reader, ack_writer = await open_ack_stream(host, port)
+                txids, reader, writer = await submit_block("before")
+                await read_acks(ack_reader, txids)
+                assert len(gateway._ack_streams) == 1
+
+                ack_writer.close()
+                await ack_writer.wait_closed()
+                for tag in ("after-a", "after-b", "after-c"):
+                    _txids, reader, writer = await submit_block(tag, reader, writer)
+                mempool = cluster.runners[0].mempool
+                await eventually(lambda: mempool.status()["delivered"] >= 64)
+                await eventually(lambda: not gateway._ack_streams)
+                writer.close()
+            finally:
+                await cluster.stop()
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            asyncio.run(scenario())
+        assert "socket.send() raised exception" not in caplog.text
 
 
 class TestCrashRecoveryIngress:

@@ -6,6 +6,7 @@ this process or are fanned across a ``ProcessPoolExecutor`` — otherwise the
 committed ``BENCH_sim.json`` baseline could never gate regressions.
 """
 
+import repro.core.harness as harness
 from repro.common.config import SystemConfig
 from repro.core.harness import DagRiderDeployment
 from repro.obs.context import Observability
@@ -13,6 +14,15 @@ from repro.perf.cells import smoke_cells
 from repro.perf.compare import compare_documents
 from repro.perf.runner import run_cell, run_cell_profiled
 from repro.perf.sweep import metric_payload, run_sweep
+from repro.sim.network import Network
+
+
+class PerSendNetwork(Network):
+    """Reference fan-out: ``broadcast`` as ``n`` individual sends."""
+
+    def broadcast(self, src, message):
+        for dst in range(self.config.n):
+            self.send(src, dst, message)
 
 
 class TestDeterminism:
@@ -40,21 +50,23 @@ class TestDeterminism:
         # Same grid shape, different seeds: simulated executions diverge.
         assert metric_payload(doc_a) != metric_payload(doc_b)
 
-    def test_batched_fanout_bit_identical_to_per_send(self):
+    def test_batched_fanout_bit_identical_to_per_send(self, monkeypatch):
         """The coalesced-delivery fast path changes nothing observable.
 
-        Every committed BENCH_sim.json cell runs with batched broadcast
-        on; this cross-check reruns a full protocol deployment with the
-        per-destination fallback and demands byte-identical traces,
-        metrics, and delivered logs — the batching is pure mechanism.
+        Every committed BENCH_sim.json cell runs with batched broadcast;
+        this cross-check reruns a full protocol deployment on a network
+        whose broadcast is n individual sends and demands byte-identical
+        traces, metrics, and delivered logs — the batching is pure
+        mechanism.
         """
 
-        def run(batched: bool):
+        def run(network: type[Network]):
+            monkeypatch.setattr(harness, "Network", network)
             observability = Observability()
             deployment = DagRiderDeployment(
                 SystemConfig(n=4, seed=3), observability=observability
             )
-            deployment.network.use_batched_broadcast = batched
+            assert isinstance(deployment.network, network)
             assert deployment.run_until_wave(2, max_events=200_000)
             return (
                 deployment.metrics.snapshot(),
@@ -67,7 +79,7 @@ class TestDeterminism:
                 observability.bus.events,
             )
 
-        assert run(True) == run(False)
+        assert run(Network) == run(PerSendNetwork)
 
 
 class TestRunner:

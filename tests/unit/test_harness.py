@@ -110,9 +110,8 @@ class TestNodeAssembly:
     def test_on_deliver_callback(self):
         config = SystemConfig(n=4, seed=3)
         seen = []
-        dep = DagRiderDeployment(
-            config,
-            default_node_kwargs={"on_deliver": seen.append},
-        )
+        dep = DagRiderDeployment(config)
+        for node in dep.correct_nodes:
+            node.add_delivery_listener(seen.append)
         assert dep.run_until_ordered(4)
         assert len(seen) >= 16  # 4 nodes x 4 entries

@@ -31,10 +31,18 @@ class Recorder(Process):
         self.received.append((src, message, self.now))
 
 
-def build(n=4, adversary=None, byzantine=frozenset()):
+class PerSendNetwork(Network):
+    """Reference fan-out: ``broadcast`` as ``n`` individual sends."""
+
+    def broadcast(self, src, message):
+        for dst in range(self.config.n):
+            self.send(src, dst, message)
+
+
+def build(n=4, adversary=None, byzantine=frozenset(), network=Network):
     config = SystemConfig(n=n, byzantine=byzantine)
     sched = Scheduler()
-    net = Network(sched, config, adversary or FixedDelay(1.0))
+    net = network(sched, config, adversary or FixedDelay(1.0))
     nodes = [Recorder(pid, net) for pid in range(n)]
     return sched, net, nodes
 
@@ -198,15 +206,17 @@ class TestBatchedBroadcastEquivalence:
     ``Network.broadcast`` draws drop decisions and delays per destination
     in pid order and schedules one re-arming heap entry per fan-out.
     These tests pin the equivalence the benchmark baseline rests on: same
-    seed, batched on vs. off, byte-identical deliveries and metrics.
+    seed, batched vs. :class:`PerSendNetwork`, byte-identical deliveries
+    and metrics.
     """
 
     @staticmethod
     def _run_broadcasts(batched: bool):
         sched, net, nodes = build(
-            n=4, adversary=UniformDelay(derive_rng(7, "delays"))
+            n=4,
+            adversary=UniformDelay(derive_rng(7, "delays")),
+            network=Network if batched else PerSendNetwork,
         )
-        net.use_batched_broadcast = batched
         for src in range(4):
             net.broadcast(src, Ping(body=bytes([src])))
         # A fan-out launched mid-run, while earlier ones are still in
@@ -241,8 +251,11 @@ class TestBatchedBroadcastEquivalence:
             def should_drop(self, src, dst, message, now):
                 return now > 0.0 and self._rng.random() < 0.5
 
-        sched, net, nodes = build(n=4, adversary=SeededDrops())
-        net.use_batched_broadcast = batched
+        sched, net, nodes = build(
+            n=4,
+            adversary=SeededDrops(),
+            network=Network if batched else PerSendNetwork,
+        )
         net.broadcast(0, Ping(body=b"a"))
         net.broadcast(0, Ping(body=b"b"))
         net.broadcast(2, Ping(body=b"c"))

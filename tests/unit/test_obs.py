@@ -19,8 +19,10 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     Observability,
+    STREAM_SCHEMA,
+    STREAM_VERSION,
     SpanTracker,
-    TraceFormatError,
+    StreamFormatError,
     diff_traces,
     dumps_trace,
     filter_events,
@@ -229,24 +231,27 @@ class TestExport:
         assert dumps_trace(events) == dumps_trace(list(events))
 
     def test_rejects_foreign_schema(self):
-        with pytest.raises(TraceFormatError, match="schema"):
-            loads_trace('{"schema": "something.else", "version": 1}\n')
+        with pytest.raises(StreamFormatError, match="schema"):
+            loads_trace(f'{{"schema": "something.else", "version": {STREAM_VERSION}}}\n')
 
     def test_rejects_unknown_version(self):
-        with pytest.raises(TraceFormatError, match="version"):
-            loads_trace('{"schema": "repro.obs.trace", "version": 99}\n')
+        with pytest.raises(StreamFormatError, match="version"):
+            loads_trace(f'{{"schema": "{STREAM_SCHEMA}", "version": 1}}\n')
 
     def test_rejects_empty_file(self):
-        with pytest.raises(TraceFormatError, match="empty"):
+        with pytest.raises(StreamFormatError, match="empty"):
             loads_trace("")
 
     def test_rejects_malformed_event_line(self):
-        text = (
-            '{"meta": {}, "schema": "repro.obs.trace", "version": 1}\n'
-            '{"pid": 0, "t": 1.0}\n'  # no "kind"
-        )
-        with pytest.raises(TraceFormatError, match="missing key"):
+        text = dumps_trace([]) + '{"pid": 0, "t": 1.0}\n'  # no "kind"
+        with pytest.raises(StreamFormatError, match="missing key"):
             loads_trace(text)
+
+    def test_rejects_a_recording_without_header(self):
+        events = self._sample_events()
+        body = dumps_trace(events).split("\n", 1)[1]
+        with pytest.raises(StreamFormatError, match="header"):
+            loads_trace(body)
 
 
 class TestAnalysis:

@@ -3,8 +3,9 @@
 Covers the bounded event ring (overflow drops oldest + counts), the
 filtered bus subscriber, metric-delta encoding (a folded stream of
 deltas reproduces the registry's absolute state), the newline-JSON
-stream wire format, the flight recorder, and the stall detector
-(a frozen quorum trips it; a slow-but-progressing one does not).
+recording format and its one decoder (trace files, subscribe streams and
+flight dumps alike), the flight recorder, and the stall detector (a
+frozen quorum trips it; a slow-but-progressing one does not).
 """
 
 import pytest
@@ -21,12 +22,13 @@ from repro.obs.stream import (
     StreamFormatError,
     StreamSubscriber,
     apply_delta,
-    decode_stream_line,
+    decode_line,
     delta_line,
-    encode_stream_line,
+    dumps_trace,
     event_line,
+    header_line,
+    loads_trace,
     registry_totals,
-    stream_header,
 )
 
 
@@ -100,12 +102,14 @@ class TestStreamSubscriber:
     def test_filters_dict_round_trips_into_header(self):
         bus = EventBus()
         sub = StreamSubscriber(bus, capacity=8, kinds=["b", "a"], min_round=2)
-        header = stream_header(3, sub.filters_dict(), 0.5)
-        decoded = decode_stream_line(encode_stream_line(header))
-        assert decoded["type"] == "header"
-        assert decoded["pid"] == 3
-        assert decoded["filters"] == {"kinds": ["a", "b"], "min_round": 2}
-        assert decoded["interval"] == 0.5
+        header = header_line({"pid": 3, "filters": sub.filters_dict(), "interval": 0.5})
+        kind, meta = decode_line(header)
+        assert kind == "header"
+        assert meta == {
+            "pid": 3,
+            "filters": {"kinds": ["a", "b"], "min_round": 2},
+            "interval": 0.5,
+        }
 
 
 class TestMetricsDelta:
@@ -146,9 +150,8 @@ class TestMetricsDelta:
         delta = MetricsDelta(registry)
         registry.counter("sent").inc(7)
         line = delta_line(1, 2.5, status={"ok": True}, metrics=delta.collect())
-        decoded = decode_stream_line(encode_stream_line(line))
-        assert decoded["type"] == "delta"
-        body = decoded["delta"]
+        kind, body = decode_line(line)
+        assert kind == "delta"
         assert body["seq"] == 1 and body["t"] == 2.5
         assert body["metrics"] == {"counters": {"sent": 7}}
 
@@ -157,21 +160,28 @@ class TestWireFormat:
     def test_event_line_round_trip(self):
         bus = EventBus()
         event = bus.emit_at(1.25, 2, "commit", wave=3, delivered=4)
-        decoded = decode_stream_line(encode_stream_line(event_line(event)))
-        assert decoded["type"] == "event"
-        assert decoded["decoded"] == event
+        assert decode_line(event_line(event)) == ("event", event)
 
     def test_bad_version_rejected(self):
-        text = encode_stream_line(
-            {"schema": STREAM_SCHEMA, "version": STREAM_VERSION + 1, "pid": 0}
+        text = header_line().replace(
+            f'"version":{STREAM_VERSION}', f'"version":{STREAM_VERSION + 1}'
         )
+        assert STREAM_SCHEMA in text
         with pytest.raises(StreamFormatError):
-            decode_stream_line(text)
+            decode_line(text)
 
     def test_garbage_rejected(self):
-        for bad in ["not json", "[1,2]", '{"neither": 1}']:
+        bad_lines = [
+            "not json",
+            "[1,2]",
+            '{"neither": 1}',
+            '{"delta": 3}',
+            '{"metrics": []}',
+            '{"kind": "x", "pid": 0, "t": 1.0, "f": [1]}',
+        ]
+        for bad in bad_lines:
             with pytest.raises(StreamFormatError):
-                decode_stream_line(bad)
+                decode_line(bad)
 
     def test_default_capacity_is_sane(self):
         assert DEFAULT_STREAM_CAPACITY >= 1024
@@ -183,27 +193,69 @@ class TestFlightRecorder:
         flight = FlightRecorder(obs.bus, capacity=4)
         for index in range(10):
             obs.emit(0, "tick", seq=index)
-        dump = flight.dump("manual", 9.0)
-        assert dump["count"] == 4
-        assert dump["overwritten"] == 6
-        assert [record["f"]["seq"] for record in dump["events"]] == [6, 7, 8, 9]
-        assert dump["reason"] == "manual"
+        dump = loads_trace(flight.dump("manual", 9.0, meta={"pid": 0}))
+        assert dump.meta == {"pid": 0, "reason": "manual", "t": 9.0, "overwritten": 6}
+        assert [event.get("seq") for event in dump.events] == [6, 7, 8, 9]
         assert flight.dumps_taken == 1
 
     def test_dump_is_non_destructive(self):
         obs = Observability()
         flight = FlightRecorder(obs.bus, capacity=4)
         obs.emit(0, "tick", seq=0)
-        first = flight.dump("a", 1.0)
-        second = flight.dump("b", 2.0)
-        assert first["events"] == second["events"]
+        first = loads_trace(flight.dump("a", 1.0))
+        second = loads_trace(flight.dump("b", 2.0))
+        assert first.events == second.events != []
 
     def test_close_detaches(self):
         obs = Observability()
         flight = FlightRecorder(obs.bus, capacity=4)
         flight.close()
         obs.emit(0, "tick", seq=0)
-        assert flight.dump("after", 1.0)["count"] == 0
+        assert loads_trace(flight.dump("after", 1.0)).events == []
+
+
+class TestOneDecoder:
+    """Trace files, subscribe streams and flight dumps load the same way."""
+
+    def _events(self):
+        bus = EventBus()
+        bus.emit_at(1.0, 0, "wave_ready", wave=1)
+        bus.emit_at(2.0, 0, "commit", wave=1, delivered=3)
+        return bus, bus.events
+
+    def test_trace_file(self):
+        _bus, events = self._events()
+        trace = loads_trace(dumps_trace(events, meta={"seed": 1}, metrics={"links": {}}))
+        assert (trace.meta, trace.events, trace.metrics) == ({"seed": 1}, events, {"links": {}})
+        assert trace.deltas == []
+
+    def test_subscribe_stream(self):
+        _bus, events = self._events()
+        lines = [header_line({"pid": 0, "interval": 0.5})]
+        lines.append(event_line(events[0]))
+        lines.append(delta_line(1, 1.5, status={"decided_wave": 0}))
+        lines.append(event_line(events[1]))
+        lines.append(delta_line(2, 2.5, status={"decided_wave": 1}, dropped=2))
+        trace = loads_trace("\n".join(lines) + "\n")
+        assert trace.meta == {"pid": 0, "interval": 0.5}
+        assert trace.events == events
+        assert trace.metrics is None
+        assert [tick["status"]["decided_wave"] for tick in trace.deltas] == [0, 1]
+        assert trace.deltas[-1]["dropped"] == 2
+
+    def test_flight_dump(self):
+        obs = Observability()
+        flight = FlightRecorder(obs.bus, capacity=8)
+        obs.emit(0, "commit", wave=1)
+        text = flight.dump("stall", 3.0, meta={"pid": 0}, metrics={"status": {"ok": True}})
+        trace = loads_trace(text)
+        assert trace.meta["reason"] == "stall"
+        assert [event.kind for event in trace.events] == ["commit"]
+        assert trace.metrics == {"status": {"ok": True}}
+
+    def test_second_header_rejected(self):
+        with pytest.raises(StreamFormatError, match="header"):
+            loads_trace(dumps_trace([]) + header_line() + "\n")
 
 
 class TestStallDetector:

@@ -5,7 +5,7 @@ from repro.broadcast.bracha import BrachaMessage
 from repro.coin.threshold import CoinShareMessage
 from repro.dag.vertex import Vertex
 from repro.mempool.blocks import Block
-from repro.sim.metrics import MetricsCollector
+from repro.obs.wire import MetricsCollector
 from repro.sim.wire import bits_for_process_id
 
 
