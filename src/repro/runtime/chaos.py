@@ -14,12 +14,9 @@ and decides, per frame and per dial attempt, whether to misbehave:
   successfully written frame on a link;
 * **dial failure** — ``open_connection`` is made to fail, exercising the
   retry/backoff path.
-* **crash-restart** — after every ``crash_every``-th first-attempt frame a
-  node writes (across all its links), the whole node blacks out for
-  ``crash_downtime`` seconds: every connection is cut and inbound dials are
-  refused until the rebirth deadline. This models a process crash + restart
-  *within* one OS process; real ``SIGKILL`` + re-exec crashes are driven by
-  the scenario matrix in :mod:`repro.runtime.fabric`.
+
+Process crashes are not simulated here: real ``SIGKILL`` + restart from a
+``--state-dir`` is driven by the scenario runs of :mod:`repro.runtime.fabric`.
 
 Every decision is derived from ``(seed, link, seq)`` via
 :func:`repro.common.rng.derive_rng`, so the *schedule* — which frames on
@@ -38,14 +35,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
 from repro.obs.context import Observability
-
-#: ``handler(downtime_seconds)`` — a node-level blackout trigger.
-CrashHandler = Callable[[float], None]
 
 _RATES = ("drop_rate", "duplicate_rate", "delay_rate", "dial_fail_rate")
 
@@ -63,10 +56,6 @@ class ChaosConfig:
         sever_every: Cut a link's connection after every this-many written
             frames (guarantees each busy link is severed); None disables.
         dial_fail_rate: Chance a dial attempt fails (drives backoff).
-        crash_every: Black out a node after every this-many first-attempt
-            frames it writes across all its links; None disables.
-        crash_downtime: How long (seconds) a crashed node stays dark
-            before its links may reconnect.
     """
 
     drop_rate: float = 0.0
@@ -75,8 +64,6 @@ class ChaosConfig:
     max_delay: float = 0.02
     sever_every: int | None = None
     dial_fail_rate: float = 0.0
-    crash_every: int | None = None
-    crash_downtime: float = 0.25
 
     def __post_init__(self) -> None:
         for name in _RATES:
@@ -87,10 +74,6 @@ class ChaosConfig:
             raise ConfigurationError(f"negative max_delay {self.max_delay}")
         if self.sever_every is not None and self.sever_every < 1:
             raise ConfigurationError(f"sever_every must be >= 1, got {self.sever_every}")
-        if self.crash_every is not None and self.crash_every < 1:
-            raise ConfigurationError(f"crash_every must be >= 1, got {self.crash_every}")
-        if self.crash_downtime < 0:
-            raise ConfigurationError(f"negative crash_downtime {self.crash_downtime}")
 
 
 @dataclass(frozen=True)
@@ -122,17 +105,9 @@ class ChaosTransport:
         self.severs = 0
         self.dial_failures = 0
         self.severs_by_link: Counter[tuple[int, int]] = Counter()
-        self.crashes = 0
         self._seen: dict[tuple[int, int], int] = {}
         self._written_seen: dict[tuple[int, int], int] = {}
         self._write_counts: Counter[tuple[int, int]] = Counter()
-        self._crash_seen: dict[tuple[int, int], int] = {}
-        self._node_frames: Counter[int] = Counter()
-        self._crash_handlers: dict[int, CrashHandler] = {}
-
-    def bind_node(self, pid: int, handler: CrashHandler) -> None:
-        """Register a node's blackout trigger for the crash-restart fault."""
-        self._crash_handlers[pid] = handler
 
     def _roll(self, *labels: object) -> float:
         return derive_rng(self.seed, "chaos", *labels).random()
@@ -188,32 +163,6 @@ class ChaosTransport:
             return True
         return False
 
-    def crash_after_write(self, src: int, dst: int, seq: int) -> bool:
-        """True when node ``src`` should crash after the frame just written.
-
-        Counts first-attempt frames node-wide (all of ``src``'s links), so
-        a chatty node crashes on schedule regardless of how its traffic is
-        spread. The bound handler blacks the node out; this returns True so
-        the writing link also cuts itself immediately.
-        """
-        cfg = self.config
-        if cfg.crash_every is None or seq <= self._crash_seen.get((src, dst), 0):
-            return False
-        self._crash_seen[(src, dst)] = seq
-        self._node_frames[src] += 1
-        if self._node_frames[src] % cfg.crash_every != 0:
-            return False
-        handler = self._crash_handlers.get(src)
-        if handler is None:
-            return False
-        self.crashes += 1
-        if self.obs is not None:
-            self.obs.emit(
-                src, "chaos_crash_restart", downtime=cfg.crash_downtime, seq=seq
-            )
-        handler(cfg.crash_downtime)
-        return True
-
     def fail_dial(self, src: int, dst: int, attempt: int) -> bool:
         """True when dial ``attempt`` on the ``src -> dst`` link should fail."""
         if self._roll(src, dst, "dial", attempt) < self.config.dial_fail_rate:
@@ -237,5 +186,4 @@ class ChaosTransport:
             "delays": self.delays,
             "severs": self.severs,
             "dial_failures": self.dial_failures,
-            "crashes": self.crashes,
         }

@@ -12,16 +12,17 @@
    ``--no-spawn`` to attach).
 3. **Probe** — poll every node's control socket until it answers ``ping``
    (readiness = data socket bound, protocol launched).
-4. **Wait** — poll ``status`` until every node decided ``--waves`` waves
-   (and ordered ``--blocks`` entries), within ``--timeout``.
+4. **Wait** — watch the live view (below) until every node decided
+   ``--waves`` waves and ordered ``--blocks`` entries, within ``--timeout``.
 5. **Verify** — fetch position-wise entry digests over the control
    sockets and run the same digest-based prefix-consistency check
-   :class:`repro.runtime.cluster.LocalCluster` uses in-loop; aggregate
-   ``link_report`` counters across hosts.
+   :class:`repro.runtime.cluster.LocalCluster` uses in-loop.
 6. **Collect** — fetch each host's ``repro.obs.stream`` recording, merge
-   them (events interleaved on their per-host clocks) into
-   ``merged.trace.jsonl``, write per-node ``status.json``, and optionally
-   ``--diff`` host traces.
+   them (events interleaved on their per-host clocks, link counters
+   summed) into ``merged.trace.jsonl``, and write per-node ``status.json``.
+   To compare two hosts' event mixes, run
+   ``python -m repro.obs diff node-0.trace.jsonl node-K.trace.jsonl
+   --tolerance 1e9`` on the per-host traces.
 
 With ``--scenario file.{json,toml}`` the driver additionally executes a
 declarative chaos scenario (:mod:`repro.runtime.scenario`) between probe
@@ -30,11 +31,14 @@ their ``--state-dir`` (every scenario run journals durable state), cutting
 partitions and slowing peers over the control sockets — and asserting the
 cross-host digest prefix check passes after every recovery.
 
-While waiting, the driver keeps a **live telemetry view** open: one
-``subscribe`` stream per node (:mod:`repro.runtime.live`) renders a
+The driver's one view of node progress is the **live telemetry view**:
+one ``subscribe`` stream per node (:mod:`repro.runtime.live`) renders a
 one-line-per-node commit-frontier / queue-depth table (in place on a
-TTY, as plain ``live:`` lines otherwise; ``--no-live`` turns it off) and
-tees each node's raw stream to ``node-<pid>.stream.jsonl``. A stall
+TTY, as plain ``live:`` lines otherwise) and tees each node's raw stream
+to ``node-<pid>.stream.jsonl``. Every wait — for a scenario step's wave
+or for the targets — is a predicate over that table, woken by each
+stream delta; no ``status`` polling. A node the scenario restarts is
+resubscribed, its new incarnation appended to the same tee. A stall
 detector rides on the same streams: when the quorum commit frontier is
 flat for ``--stall-window`` seconds the driver pulls every node's
 ``flight`` ring dump into ``stall-<k>/node-<pid>.flight.jsonl``; a
@@ -60,10 +64,9 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, ConsistencyError
-from repro.obs.analyze import diff_traces
-from repro.obs.stream import Trace, dump_trace, dumps_trace, loads_trace
+from repro.obs.stream import Trace, dump_trace, loads_trace
 from repro.runtime.consistency import check_prefix_consistency
-from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView
+from repro.runtime.live import DEFAULT_STALL_WINDOW, LiveView, NodeView
 from repro.runtime.peers import (
     PeerTable,
     allocate_port_block,
@@ -197,33 +200,6 @@ def wait_ready(
             else:
                 next_probe[pid] = time.monotonic() + backoff[pid]
     return latency
-
-
-def wait_target(
-    table: PeerTable,
-    waves: int,
-    blocks: int,
-    deadline: float,
-    poll: float = 0.2,
-) -> bool:
-    """Poll ``status`` until every node hit the wave/block targets."""
-    while time.monotonic() < deadline:
-        statuses = []
-        try:
-            for entry in table.peers:
-                statuses.append(
-                    control_call(entry.control_address, {"cmd": "status"}, timeout=2.0)
-                )
-        except (OSError, ValueError):
-            time.sleep(poll)
-            continue
-        if all(
-            s.get("decided_wave", -1) >= waves and s.get("ordered", 0) >= blocks
-            for s in statuses
-        ):
-            return True
-        time.sleep(poll)
-    return False
 
 
 def stop_all(table: PeerTable) -> None:
@@ -385,28 +361,26 @@ def collect_flight_dumps(
     return directory
 
 
+# ------------------------------------------------------------------ waiting
+
+#: A condition over the live view's per-node table (see LiveView.wait_until).
+Progress = Callable[[Mapping[int, NodeView]], bool]
+
+
+def every_node_reached(waves: int, blocks: int) -> Progress:
+    """Every node decided ``waves`` waves and ordered ``blocks`` entries."""
+    return lambda nodes: all(
+        view.decided_wave >= waves and view.ordered >= blocks
+        for view in nodes.values()
+    )
+
+
+def some_node_decided(wave: int) -> Progress:
+    """The highest decided wave across nodes reached ``wave``."""
+    return lambda nodes: max(view.decided_wave for view in nodes.values()) >= wave
+
+
 # ---------------------------------------------------------------- scenarios
-
-
-def max_decided_wave(table: PeerTable) -> int:
-    """Best-effort: the highest decided wave any reachable node reports."""
-    best = -1
-    for entry in table.peers:
-        try:
-            status = control_call(entry.control_address, {"cmd": "status"}, timeout=2.0)
-        except (OSError, ValueError):
-            continue
-        best = max(best, int(status.get("decided_wave", -1)))
-    return best
-
-
-def wait_wave(table: PeerTable, wave: int, deadline: float, poll: float = 0.2) -> bool:
-    """Block until any reachable node's decided wave reaches ``wave``."""
-    while time.monotonic() < deadline:
-        if max_decided_wave(table) >= wave:
-            return True
-        time.sleep(poll)
-    return False
 
 
 def fetch_digest_logs(table: PeerTable) -> dict[str, list[str]]:
@@ -429,9 +403,13 @@ def _crash_once(
     run_seconds: float,
     deadline: float,
     boot_latency: dict[int, float],
-    announce: Callable[[str], None] = print,
+    live: LiveView,
 ) -> int:
-    """Kill one runner, restart it from its state dir, verify consistency."""
+    """Kill one runner, restart it from its state dir, verify consistency.
+
+    Once the new incarnation answers ``ping`` the live view resubscribes
+    to it, so its progress (and its tee) continue past the kill.
+    """
     pid = step.pid
     assert pid is not None
     process = processes.get(pid)
@@ -443,7 +421,7 @@ def _crash_once(
     else:
         process.terminate()
     process.wait()
-    announce(f"fabric: scenario: sent SIG{step.signal.upper()} to node {pid}")
+    live.note(f"fabric: scenario: sent SIG{step.signal.upper()} to node {pid}")
     time.sleep(step.restart_after)
     processes[pid] = spawn_runner(
         pid,
@@ -458,9 +436,10 @@ def _crash_once(
         print(f"fabric: scenario: node {pid} failed to recover", file=sys.stderr)
         return 2
     boot_latency[pid] = boot[pid]
+    live.follow(pid)
     status = control_call(table.entry(pid).control_address, {"cmd": "status"})
     recovery = status.get("recovery", {})
-    announce(
+    live.note(
         f"fabric: scenario: node {pid} recovered in {boot[pid]:.2f}s "
         f"(snapshot {recovery.get('snapshot_vertices', 0)} + "
         f"wal {recovery.get('replayed_vertices', 0)} vertices, "
@@ -469,7 +448,7 @@ def _crash_once(
     # The hard guarantee: a recovered node's log must still be a prefix
     # match with every peer — recovery may not rewrite history.
     prefix = check_prefix_consistency(fetch_digest_logs(table))
-    announce(f"fabric: scenario: post-recovery prefix OK ({prefix} entries)")
+    live.note(f"fabric: scenario: post-recovery prefix OK ({prefix} entries)")
     return 0
 
 
@@ -483,41 +462,34 @@ def run_scenario(
     run_seconds: float,
     deadline: float,
     boot_latency: dict[int, float],
-    announce: Callable[[str], None] = print,
-    live: LiveView | None = None,
+    live: LiveView,
 ) -> int:
     """Execute the scenario's steps in order; 0 = all passed.
 
-    Progress goes through ``announce`` (the live view's scroll-safe
-    ``note`` when one is attached) and each step is named in the live
-    table's banner, so even the silent stretches — waiting for a wave,
-    a ``restart_after`` or ``heal_after`` sleep — show what the driver
-    is doing.
+    Progress goes through the live view's scroll-safe ``note`` and each
+    step is named in the live table's banner, so even the silent
+    stretches — waiting for a wave, a ``restart_after`` or ``heal_after``
+    sleep — show what the driver is doing.
     """
     for index, step in enumerate(scenario.steps):
-        if live is not None:
-            live.set_banner(
-                f"scenario step {index + 1}/{len(scenario.steps)}: "
-                f"{step.kind} (waiting for wave {step.at_wave})"
-            )
-        if not wait_wave(table, step.at_wave, deadline):
+        live.set_banner(
+            f"scenario step {index + 1}/{len(scenario.steps)}: "
+            f"{step.kind} (waiting for wave {step.at_wave})"
+        )
+        if not live.wait_until(some_node_decided(step.at_wave), deadline):
             print(
                 f"fabric: scenario: step {index} ({step.kind}) timed out "
                 f"waiting for wave {step.at_wave}",
                 file=sys.stderr,
             )
             return 2
-        if live is not None:
-            live.set_banner(
-                f"scenario step {index + 1}/{len(scenario.steps)}: {step.kind}"
-            )
-        announce(f"fabric: scenario: step {index}: {step.kind}")
+        live.set_banner(f"scenario step {index + 1}/{len(scenario.steps)}: {step.kind}")
+        live.note(f"fabric: scenario: step {index}: {step.kind}")
         if step.kind in ("crash", "churn"):
             for _cycle in range(step.cycles if step.kind == "churn" else 1):
                 code = _crash_once(
                     step, table, peers_path, out_dir, state_dirs,
-                    processes, run_seconds, deadline, boot_latency,
-                    announce=announce,
+                    processes, run_seconds, deadline, boot_latency, live,
                 )
                 if code:
                     return code
@@ -529,36 +501,35 @@ def run_scenario(
                         table.entry(pid).control_address,
                         {"cmd": "partition", "peers": others},
                     )
-            announce(f"fabric: scenario: partitioned {list(step.groups)}")
+            live.note(f"fabric: scenario: partitioned {list(step.groups)}")
             time.sleep(step.heal_after)
             for entry in table.peers:
                 control_call(entry.control_address, {"cmd": "heal"})
-            announce("fabric: scenario: partition healed")
+            live.note("fabric: scenario: partition healed")
         elif step.kind == "slow":
             assert step.pid is not None
             address = table.entry(step.pid).control_address
             control_call(address, {"cmd": "slow", "delay": step.delay})
-            announce(
+            live.note(
                 f"fabric: scenario: node {step.pid} slowed by "
                 f"{step.delay * 1000:.0f}ms/frame"
             )
             time.sleep(step.duration)
             control_call(address, {"cmd": "slow", "delay": 0.0})
-    if live is not None:
-        live.set_banner("scenario done; waiting for targets")
+    live.set_banner("scenario done; waiting for targets")
     return 0
 
 
 # ------------------------------------------------------------------ merging
 
 
-def merge_traces(traces: Sequence[Trace]) -> str:
-    """Merge per-host traces into one JSONL document.
+def merge_traces(traces: Sequence[Trace]) -> Trace:
+    """Merge per-host traces into one recording.
 
     Events interleave by their per-host monotonic clocks (each host's
     transport scheduler starts at its own epoch — ordering across hosts
     is approximate, within a host it is exact). Per-host link counters
-    are summed into the metrics footer.
+    are summed into the closing metrics (``metrics["links"]``).
     """
     events = sorted(
         (event for trace in traces for event in trace.events),
@@ -577,7 +548,7 @@ def merge_traces(traces: Sequence[Trace]) -> str:
             int(str(trace.meta.get("pid", -1))) for trace in traces
         ),
     }
-    return dumps_trace(events, meta=meta, metrics={"links": dict(totals)})
+    return Trace(meta=meta, events=events, metrics={"links": dict(totals)})
 
 
 # --------------------------------------------------------------------- main
@@ -627,20 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach to already-running runners (remote hosts) instead of spawning",
     )
     parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="diff each host's trace against host 0's (informational)",
-    )
-    parser.add_argument(
-        "--no-live",
-        action="store_true",
-        help="disable the live per-node telemetry view (subscribe streams)",
-    )
-    parser.add_argument(
         "--live-interval",
         type=float,
         default=1.0,
-        help="live view refresh / stream delta interval in seconds",
+        help="live view refresh / stream delta interval in seconds (also "
+        "how soon a reached target is seen)",
     )
     parser.add_argument(
         "--stall-window",
@@ -742,35 +704,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     deadline = time.monotonic() + args.timeout
 
-    live: LiveView | None = None
-    stall_count = [0]
-    if not args.no_live:
-        def _on_stall(stalled_for: float, frontier: int) -> None:
-            stall_count[0] += 1
-            path = collect_flight_dumps(
-                table, out_dir, "stall",
-                stalled_for=stalled_for, index=stall_count[0],
-            )
-            message = (
-                f"fabric: stall diagnostics (frontier wave {frontier}) "
-                f"written to {path}"
-            )
-            if live is not None:
-                live.note(message)
-            else:  # pragma: no cover - live is set before any stall fires
-                print(message)
-
-        live = LiveView(
-            table,
-            {"cmd": "subscribe", "interval": args.live_interval},
-            out_dir=out_dir,
-            interval=args.live_interval,
-            stall_window=args.stall_window,
-            on_stall=_on_stall,
+    def _on_stall(stalled_for: float, frontier: int) -> None:
+        path = collect_flight_dumps(
+            table, out_dir, "stall", stalled_for=stalled_for, index=live.stalls
         )
-        live.set_banner("booting")
-        live.start()
-    announce: Callable[[str], None] = live.note if live is not None else print
+        live.note(
+            f"fabric: stall diagnostics (frontier wave {frontier}) written to {path}"
+        )
+
+    live = LiveView(
+        table,
+        {"cmd": "subscribe", "interval": args.live_interval},
+        out_dir=out_dir,
+        interval=args.live_interval,
+        stall_window=args.stall_window,
+        on_stall=_on_stall,
+    )
+    live.set_banner("booting")
+    live.start()
 
     boot_latency: dict[int, float] = {}
     try:
@@ -780,19 +731,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         boot_latency.update(boot)
         slowest = max(boot.values()) if boot else 0.0
-        announce(
-            f"fabric: all {table.n} nodes ready (slowest boot {slowest:.2f}s)"
-        )
-        if live is not None:
-            live.set_banner(
-                f"running (targets: waves>={args.waves} blocks>={args.blocks})"
-            )
+        live.note(f"fabric: all {table.n} nodes ready (slowest boot {slowest:.2f}s)")
+        live.set_banner(f"running (targets: waves>={args.waves} blocks>={args.blocks})")
         if scenario is not None:
             try:
                 code = run_scenario(
                     scenario, table, peers_path, out_dir, state_dirs,
-                    processes, run_seconds, deadline, boot_latency,
-                    announce=announce, live=live,
+                    processes, run_seconds, deadline, boot_latency, live,
                 )
             except ConsistencyError as error:
                 dump_path = collect_flight_dumps(table, out_dir, "consistency")
@@ -807,20 +752,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return 2
             if code:
                 return code
-        if not wait_target(table, args.waves, args.blocks, deadline):
+        if not live.wait_until(every_node_reached(args.waves, args.blocks), deadline):
             print(
                 f"fabric: target (waves>={args.waves}, blocks>={args.blocks}) "
                 "not reached in time",
                 file=sys.stderr,
             )
             return 2
-        if live is not None:
-            live.set_banner("targets reached; collecting state")
+        live.set_banner("targets reached; collecting state")
 
         # Aggregate state over the control sockets while nodes are live.
         logs: dict[str, list[str]] = {}
         statuses: dict[int, dict[str, Any]] = {}
-        link_totals: Counter[str] = Counter()
         trace_texts: dict[int, str] = {}
         for entry in table.peers:
             address = entry.control_address
@@ -828,10 +771,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             logs[f"{entry.host}:{entry.pid}"] = control_call(
                 address, {"cmd": "log"}
             )["digests"]
-            report = control_call(address, {"cmd": "link_report"})["report"]
-            for key, value in report.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    link_totals[key] += value
             trace_texts[entry.pid] = control_call(
                 address, {"cmd": "trace"}, timeout=30.0
             )["trace"]
@@ -850,8 +789,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
     finally:
         stop_all(table)
-        if live is not None:
-            live.stop()
+        live.stop()
         if processes:
             reap(processes)
 
@@ -870,34 +808,24 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"decided wave {status['decided_wave']}, "
             f"round {status['current_round']}"
         )
+
+    merged = merge_traces([loads_trace(text) for text in trace_texts.values()])
+    links = (merged.metrics or {})["links"]
+    assert isinstance(links, dict)
     print(
         "fabric: links: "
-        f"{link_totals.get('frames_sent', 0)} frames, "
-        f"{link_totals.get('reconnects', 0)} reconnects, "
-        f"{link_totals.get('redeliveries', 0)} redeliveries"
+        f"{links.get('frames_sent', 0)} frames, "
+        f"{links.get('reconnects', 0)} reconnects, "
+        f"{links.get('redeliveries', 0)} redeliveries"
     )
-
     print(
         f"fabric: digest-based total order OK across {table.n} nodes "
         f"(agreed prefix: {prefix} entries)"
     )
 
-    traces = {pid: loads_trace(text) for pid, text in trace_texts.items()}
     merged_path = out_dir / "merged.trace.jsonl"
-    merged_path.write_text(merge_traces(list(traces.values())), encoding="utf-8")
-    total_events = sum(len(trace.events) for trace in traces.values())
-    print(f"fabric: merged {total_events} events into {merged_path}")
-
-    if args.diff and traces:
-        base_pid = min(traces)
-        for pid in sorted(traces):
-            if pid == base_pid:
-                continue
-            diff = diff_traces(
-                traces[base_pid].events, traces[pid].events, time_tolerance=1e9
-            )
-            changed = ", ".join(sorted(diff.kind_deltas)) or "none"
-            print(f"fabric: diff host {base_pid} vs {pid}: kind deltas: {changed}")
+    dump_trace(str(merged_path), merged.events, meta=merged.meta, metrics=merged.metrics)
+    print(f"fabric: merged {len(merged.events)} events into {merged_path}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Live cluster progress view for the fabric driver.
+"""Live cluster progress view: the fabric driver's one view of its nodes.
 
 One reader thread per node holds a control-socket connection in
 ``subscribe`` streaming mode (see :class:`repro.runtime.runner.ControlServer`)
@@ -9,6 +9,12 @@ transport queue depth, events seen, ring drops. A render thread repaints
 that table once per tick — in-place with ANSI cursor movement on a TTY,
 as plain periodic ``live:`` lines otherwise (CI logs stay greppable).
 
+Every folded delta wakes :meth:`LiveView.wait_until`, the driver's only
+wait primitive: "every node reached the targets" and "some node decided
+wave w" are predicates over the table, not ``status`` polls. When the
+driver restarts a node it calls :meth:`LiveView.follow`, which subscribes
+to the new incarnation and appends its lines to the same tee.
+
 The view doubles as the driver-side stall detector: every tick it feeds
 each node's decided wave into :class:`repro.obs.stream.StallDetector`,
 and when the quorum commit frontier goes flat for the configured window
@@ -17,7 +23,9 @@ it fires the ``on_stall`` callback (the fabric driver uses it to pull
 
 Raw stream lines are teed verbatim to ``<out_dir>/node-<pid>.stream.jsonl``
 so a run leaves replayable per-node recordings next to its traces
-(:func:`repro.obs.stream.load_trace` reads them).
+(:func:`repro.obs.stream.load_trace` reads them). A resubscribed stream's
+header repeats the first one byte for byte (trace meta plus interval are
+deterministic); it is checked and dropped, so the tee stays one recording.
 
 Everything here is driver-side tooling on real wall clocks
 (``time.monotonic``), matching the rest of :mod:`repro.runtime.fabric`;
@@ -95,7 +103,6 @@ class LiveView:
         interval: float = 1.0,
         stall_window: float = DEFAULT_STALL_WINDOW,
         on_stall: Callable[[float, int], None] | None = None,
-        force_plain: bool = False,
     ) -> None:
         self.table = table
         self.request = dict(subscribe_request)
@@ -105,12 +112,16 @@ class LiveView:
         self.on_stall = on_stall
         self.detector = StallDetector(table.n, window=stall_window)
         self.stalls = 0
-        self._tty = (not force_plain) and _is_tty(self.sink)
+        self._tty = _is_tty(self.sink)
         self._nodes = {e.pid: NodeView(e.pid) for e in table.peers}
         self._lock = threading.Lock()
+        #: Notified (under ``_lock``) on every folded delta and on stop.
+        self._changed = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._sockets: dict[int, socket.socket] = {}
-        self._threads: list[threading.Thread] = []
+        self._readers: dict[int, threading.Thread] = {}
+        self._headers: dict[int, str] = {}
+        self._render_thread: threading.Thread | None = None
         self._drawn_lines = 0
         self._banner = ""
 
@@ -119,18 +130,45 @@ class LiveView:
     def start(self) -> None:
         """Spawn one reader thread per node plus the render thread."""
         for entry in self.table.peers:
-            thread = threading.Thread(
-                target=self._read_node,
-                args=(entry.pid, entry.control_address),
-                name=f"live-read-{entry.pid}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-        render = threading.Thread(target=self._render_loop, name="live-render",
-                                  daemon=True)
-        self._threads.append(render)
-        render.start()
+            self._spawn_reader(entry.pid, "w")
+        self._render_thread = threading.Thread(
+            target=self._render_loop, name="live-render", daemon=True
+        )
+        self._render_thread.start()
+
+    def follow(self, pid: int) -> None:
+        """Resubscribe to ``pid`` after the driver restarted it.
+
+        The old reader is shut down and joined first (its stream died with
+        the process), then a new one appends the new incarnation's lines to
+        the same tee.
+        """
+        with self._lock:
+            old_sock = self._sockets.get(pid)
+        if old_sock is not None:
+            _shut(old_sock)
+        old = self._readers.get(pid)
+        if old is not None:
+            old.join(timeout=DRAIN_TIMEOUT)
+        with self._lock:
+            self._nodes[pid].state = "connecting"
+        self._spawn_reader(pid, "a")
+
+    def _spawn_reader(self, pid: int, tee_mode: str) -> None:
+        thread = threading.Thread(
+            target=self._read_node,
+            args=(pid, self.table.entry(pid).control_address, tee_mode),
+            name=f"live-read-{pid}",
+            daemon=True,
+        )
+        self._readers[pid] = thread
+        thread.start()
+
+    def _threads(self) -> list[threading.Thread]:
+        threads = list(self._readers.values())
+        if self._render_thread is not None:
+            threads.append(self._render_thread)
+        return threads
 
     def stop(self) -> None:
         """Tear down readers and renderer; paints one final table.
@@ -143,21 +181,16 @@ class LiveView:
         if self._stop.is_set():
             return
         self._stop.set()
+        with self._changed:
+            self._changed.notify_all()
         deadline = time.monotonic() + DRAIN_TIMEOUT
-        for thread in self._threads:
+        for thread in self._threads():
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         with self._lock:
             for sock in self._sockets.values():
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                _shut(sock)
             self._sockets.clear()
-        for thread in self._threads:
+        for thread in self._threads():
             thread.join(timeout=5.0)
         self._render(final=True)
 
@@ -218,12 +251,18 @@ class LiveView:
 
     # ------------------------------------------------------------ readers
 
-    def _read_node(self, pid: int, address: tuple[str, int]) -> None:
-        """One node's reader: connect, subscribe, fold lines until EOF."""
+    def _read_node(self, pid: int, address: tuple[str, int], tee_mode: str) -> None:
+        """One node's reader: connect, subscribe, fold lines until EOF.
+
+        ``tee_mode`` is ``"w"`` for the first subscription and ``"a"`` when
+        :meth:`follow` resubscribes. Only complete lines are teed: a node
+        killed mid-write must not leave a fragment the next incarnation's
+        lines would be glued onto.
+        """
         tee = None
         if self.out_dir is not None:
             tee = open(
-                self.out_dir / f"node-{pid}.stream.jsonl", "w", encoding="utf-8"
+                self.out_dir / f"node-{pid}.stream.jsonl", tee_mode, encoding="utf-8"
             )
         try:
             sock = self._connect(pid, address)
@@ -232,7 +271,17 @@ class LiveView:
             view = self._nodes[pid]
             with sock, sock.makefile("r", encoding="utf-8") as stream:
                 sock.sendall((json.dumps(self.request) + "\n").encode())
-                for text in stream:
+                for index, text in enumerate(stream):
+                    if not text.endswith("\n"):
+                        break  # the node died mid-line
+                    if index == 0:
+                        recorded = self._headers.get(pid)
+                        if recorded is None:
+                            self._headers[pid] = text
+                        elif text != recorded:
+                            raise ValueError(f"node {pid} resubscribed with a new header")
+                        else:
+                            continue  # the tee already opens with this header
                     if tee is not None:
                         tee.write(text)
                         tee.flush()
@@ -285,6 +334,7 @@ class LiveView:
                 view.queue_depth = int(status.get("queue_depth", 0))
             view.dropped = int(body.get("dropped", 0) or 0)
             view.updated = time.monotonic()
+            self._changed.notify_all()
 
     # ----------------------------------------------------------- renderer
 
@@ -319,6 +369,23 @@ class LiveView:
 
     # ------------------------------------------------------------- access
 
+    def wait_until(
+        self, predicate: Callable[[Mapping[int, NodeView]], bool], deadline: float
+    ) -> bool:
+        """Block until ``predicate`` holds over the per-node table.
+
+        The predicate is re-evaluated (under the view's lock) on every
+        folded delta; returns False once ``deadline`` (``time.monotonic``)
+        passes or the view stops first.
+        """
+        with self._changed:
+            while not predicate(self._nodes):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._stop.is_set():
+                    return False
+                self._changed.wait(remaining)
+            return True
+
     def snapshot(self) -> dict[int, dict[str, object]]:
         """Current per-node table as plain dicts (tests and diagnostics)."""
         with self._lock:
@@ -334,6 +401,18 @@ class LiveView:
                 }
                 for view in self._nodes.values()
             }
+
+
+def _shut(sock: socket.socket) -> None:
+    """Shut down and close a reader's socket, ignoring a dead peer."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def _is_tty(sink: TextIO) -> bool:

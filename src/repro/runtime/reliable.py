@@ -177,7 +177,6 @@ class ReliableLink:
         self.degraded = False
         #: Extra per-frame write delay (seconds) — the "slow peer" fault.
         self.extra_delay = 0.0
-        self._suspend_deadline = 0.0
         self._blocked = False
         self._loop = loop
         self._stats = stats
@@ -245,12 +244,6 @@ class ReliableLink:
         writer.close()
         return 1
 
-    def suspend_until(self, deadline: float) -> None:
-        """Blackout helper: cut the connection and hold redials until
-        ``deadline`` (loop time) — the sending half of a simulated crash."""
-        self._suspend_deadline = max(self._suspend_deadline, deadline)
-        self.sever()
-
     def set_blocked(self, blocked: bool) -> None:
         """Partition helper: while blocked, the link stays down (no dials)."""
         self._blocked = blocked
@@ -280,10 +273,9 @@ class ReliableLink:
         if self._down_since is None:
             self._down_since = self._loop.time()
         while not self._closed:
-            hold = self._suspend_deadline - self._loop.time()
-            if self._blocked or hold > 0:
-                # Crashed or partitioned: stay dark, poll until released.
-                await asyncio.sleep(min(max(hold, 0.02), 0.1))
+            if self._blocked:
+                # Partitioned: stay dark, poll until healed.
+                await asyncio.sleep(0.02)
                 continue
             self._dial_attempts += 1
             writer = None
@@ -399,12 +391,6 @@ class ReliableLink:
             self.pid, self.dst, seq
         ):
             raise ChaosSever(f"chaos severed link to {self.dst}")
-        if self._chaos is not None and self._chaos.crash_after_write(
-            self.pid, self.dst, seq
-        ):
-            # The bound handler just blacked out the whole node (including
-            # this link); cut the write loop at the crash point too.
-            raise ChaosSever(f"chaos crash-restarted node {self.pid}")
 
     async def _send_heartbeat(self) -> None:
         writer = self._writer

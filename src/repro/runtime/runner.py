@@ -19,17 +19,22 @@ recording on shutdown; in-loop clusters may share one bundle across runners.
 The control protocol is deliberately tiny: newline-delimited JSON request/
 response pairs over TCP (``{"cmd": "status"}`` -> one JSON line). Commands:
 ``ping``, ``status``, ``log`` (position-wise entry digests for the
-cross-host prefix-consistency check), ``link_report``, ``trace`` (the
-recording text so a driver needs no shared filesystem), ``flight`` (the
-in-memory flight-recorder ring as a recording — the black box a stall
-diagnostic fetches), and ``stop``. One command escapes the request/response
-shape: ``subscribe`` switches the connection into **streaming** mode — the
-server answers with a ``repro.obs.stream`` header line and then, every
-``interval`` seconds until the client disconnects or the node stops,
-writes the events buffered since the last tick (bounded ring, oldest
-dropped and counted under backpressure) plus one ``delta`` line carrying
-a status snapshot and the metric movement since the previous tick. See
-docs/observability.md "Live streaming and causal analysis".
+cross-host prefix-consistency check), ``trace`` (the recording text, link
+counters in its closing metrics line, so a driver needs no shared
+filesystem), ``flight`` (the in-memory flight-recorder ring as a recording
+— the black box a stall diagnostic fetches), the ``partition``/``heal``/
+``slow`` faults, and ``stop``. A request that is not JSON, or whose
+arguments do not parse (``{"cmd": "slow", "delay": "abc"}``), is answered
+with ``{"ok": false, "error": ...}`` and the connection stays open. One
+command escapes the request/response shape: ``subscribe`` switches the
+connection into **streaming** mode — the server answers with a
+``repro.obs.stream`` header line and then, every ``interval`` seconds until
+the client disconnects or the node stops, writes the events buffered since
+the last tick (bounded ring, oldest dropped and counted under
+backpressure) plus one ``delta`` line carrying :meth:`NodeRunner.status`
+and the metric movement since the previous tick. Those deltas are the
+fabric driver's only view of node progress. See docs/observability.md
+"Live streaming and causal analysis".
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.common.errors import ConfigurationError
 from repro.core.node import DagRiderNode
@@ -218,11 +223,11 @@ class NodeRunner:
     # ----------------------------------------------------------- inspection
 
     def status(self) -> dict[str, object]:
-        """Liveness snapshot the fabric driver polls."""
+        """Liveness snapshot: the ``status`` reply and every stream delta."""
         node = self.node
         depth = self.network.queue_depth if self.network is not None else 0
         if self.observability is not None:
-            # Sampled here (every status poll and subscribe tick) so the
+            # Sampled here (every status reply and subscribe tick) so the
             # live metric deltas carry transport backpressure.
             self.observability.registry.gauge("link.queue_depth").set(float(depth))
         status: dict[str, object] = {
@@ -374,8 +379,6 @@ class ControlServer:
             return runner.status()
         if command == "log":
             return {"ok": True, "pid": runner.pid, "digests": runner.ordered_digests()}
-        if command == "link_report":
-            return {"ok": True, "pid": runner.pid, "report": runner.link_report()}
         if command == "trace":
             return {"ok": True, "pid": runner.pid, "trace": runner.trace_text()}
         if command == "partition":
@@ -414,21 +417,13 @@ class ControlServer:
                 line = await reader.readline()
                 if not line:
                     break
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be an object")
-                except ValueError as exc:
-                    response: dict[str, object] = {"ok": False, "error": str(exc)}
-                else:
-                    command = request.get("cmd")
-                    if command == "subscribe":
-                        # Streaming mode: the connection is dedicated to
-                        # the subscription from here on; no more requests
-                        # are read on it.
-                        await self._serve_subscribe(request, writer)
-                        break
-                    response = self._dispatch(request)
+                response = self._answer(line)
+                if isinstance(response, _Subscription):
+                    # Streaming mode: the connection is dedicated to the
+                    # subscription from here on; no more requests are read
+                    # on it.
+                    await self._serve_subscribe(response, writer)
+                    break
                 writer.write(
                     (json.dumps(response, sort_keys=True) + "\n").encode()
                 )
@@ -442,8 +437,25 @@ class ControlServer:
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
 
+    def _answer(self, line: bytes) -> "dict[str, object] | _Subscription":
+        """The reply to one request line, or a parsed ``subscribe``.
+
+        Malformed JSON and malformed arguments alike get an error reply, so
+        one bad request never costs the client its connection.
+        """
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError("request must be an object")
+            command = request.get("cmd")
+            if command == "subscribe":
+                return _Subscription.parse(request)
+            return self._dispatch(request)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return {"ok": False, "error": f"bad request: {exc}"}
+
     async def _serve_subscribe(
-        self, request: dict[str, Any], writer: asyncio.StreamWriter
+        self, options: "_Subscription", writer: asyncio.StreamWriter
     ) -> None:
         """Stream ``repro.obs.stream`` lines until stop or client hang-up.
 
@@ -460,16 +472,12 @@ class ControlServer:
             writer.write(b'{"error": "observability off", "ok": false}\n')
             await writer.drain()
             return
-        kinds_raw = request.get("kinds")
-        kinds: list[str] | None = None
-        if isinstance(kinds_raw, list):
-            kinds = [str(kind) for kind in kinds_raw]
-        raw_round = request.get("min_round")
-        min_round = int(raw_round) if raw_round is not None else None
-        interval = max(0.05, float(request.get("interval", 1.0)))
-        capacity = int(request.get("capacity", DEFAULT_STREAM_CAPACITY))
+        interval = options.interval
         subscriber = StreamSubscriber(
-            obs.bus, capacity=capacity, kinds=kinds, min_round=min_round
+            obs.bus,
+            capacity=options.capacity,
+            kinds=options.kinds,
+            min_round=options.min_round,
         )
         deltas = MetricsDelta(obs.registry)
         live_gauge = obs.registry.gauge("stream.subscribers")
@@ -521,6 +529,29 @@ class ControlServer:
             subscriber.close()
             self._live_subscribers -= 1
             live_gauge.set(self._live_subscribers)
+
+
+class _Subscription(NamedTuple):
+    """The validated arguments of one ``subscribe`` request."""
+
+    kinds: list[str] | None
+    min_round: int | None
+    interval: float
+    capacity: int
+
+    @classmethod
+    def parse(cls, request: dict[str, Any]) -> "_Subscription":
+        kinds = request.get("kinds")
+        min_round = request.get("min_round")
+        capacity = int(request.get("capacity", DEFAULT_STREAM_CAPACITY))
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        return cls(
+            kinds=[str(kind) for kind in kinds] if isinstance(kinds, list) else None,
+            min_round=int(min_round) if min_round is not None else None,
+            interval=max(0.05, float(request.get("interval", 1.0))),
+            capacity=capacity,
+        )
 
 
 async def serve_node(

@@ -136,11 +136,8 @@ class TcpNetwork:
         self._peer_incarnation: dict[int, int] = {}
         self._accept_tasks: set[asyncio.Task[None]] = set()
         self._closed = False
-        self._blackout_until = 0.0  # loop time; crash_restart fault window
         self._blocked: set[int] = set()  # partitioned peers (both directions)
         self._peer_delay = 0.0
-        if chaos is not None:
-            chaos.bind_node(pid, self.simulate_crash)
 
     # ------------------------------------------------------- node interface
 
@@ -204,8 +201,6 @@ class TcpNetwork:
             link.extra_delay = self._peer_delay
             if dst in self._blocked:
                 link.set_blocked(True)
-            if self._blackout_until > self._loop.time():
-                link.suspend_until(self._blackout_until)
             self._links[dst] = link
         return link
 
@@ -239,29 +234,6 @@ class TcpNetwork:
             if not state.writer.is_closing():
                 state.writer.close()
                 cut += 1
-        return cut
-
-    def simulate_crash(self, downtime: float) -> int:
-        """Black this node out for ``downtime`` seconds (crash_restart fault).
-
-        Every live connection is cut, outbound redials are held, and inbound
-        connections are refused until the rebirth deadline. The node's
-        in-memory protocol state survives — this models a crash + instant
-        state recovery; full process death is the scenario matrix's job.
-        Returns the number of connections cut.
-        """
-        self._blackout_until = max(
-            self._blackout_until, self._loop.time() + downtime
-        )
-        for link in self._links.values():
-            link.suspend_until(self._blackout_until)
-        cut = 0
-        for state in list(self._inbound.values()):
-            if not state.writer.is_closing():
-                state.writer.close()
-                cut += 1
-        if self.obs is not None:
-            self.obs.emit(self.pid, "node_blackout", downtime=downtime)
         return cut
 
     def block_peers(self, peers: set[int] | frozenset[int]) -> None:
@@ -344,9 +316,9 @@ class TcpNetwork:
                 # Never trust an out-of-range (or self-addressed) pid byte.
                 self.link_stats.handshake_rejects += 1
                 return
-            if self._loop.time() < self._blackout_until or src in self._blocked:
-                # Crashed (blacked out) or partitioned from this peer:
-                # refuse the connection; the sender backs off and redials.
+            if src in self._blocked:
+                # Partitioned from this peer: refuse the connection; the
+                # sender backs off and redials.
                 return
             last = self._peer_incarnation.get(src)
             if last is not None and last != incarnation:
